@@ -14,8 +14,10 @@ import os
 import signal
 import sys
 import tempfile
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .dynmaps import (
@@ -212,194 +214,61 @@ def cmd_cache_stat(ns):
 
 
 # ---------------------------------------------------------------------------
-# poly
+# document builders: ns -> document
 
 
-def cmd_poly_iterate(ns):
-    def build():
-        if ns.map == "gb":
-            pair = iterate_poly_gb(ns.n, ns.h, degree_cap=ns.degree_cap)
-            return {
-                "kind": "iterate-gb",
-                "n": ns.n,
-                "k": ns.h,
-                "P": _bipoly_json(pair.poly),
-                "denom": str(pair.denom),
-            }
-        P = iterate_map(ns.n, ns.h, degree_cap=ns.degree_cap)
-        return {"kind": "iterate-fc", "n": ns.n, "k": ns.h, "poly": _bipoly_json(P)}
-
-    key = _key("poly/iterate", n=ns.n, h=ns.h, map=ns.map, cap=ns.degree_cap)
-    return _with_cache(ns, key, build)
+def _poly_iterate(ns):
+    if ns.map == "gb":
+        pair = iterate_poly_gb(ns.n, ns.h, degree_cap=ns.degree_cap)
+        return {"kind": "iterate-gb", "n": ns.n, "k": ns.h,
+                "P": _bipoly_json(pair.poly), "denom": str(pair.denom)}
+    P = iterate_map(ns.n, ns.h, degree_cap=ns.degree_cap)
+    return {"kind": "iterate-fc", "n": ns.n, "k": ns.h, "poly": _bipoly_json(P)}
 
 
-def cmd_poly_dynatomic(ns):
+def _poly_dynatomic(ns):
     form = {"fc": "f_c", "gb": "g_b"}[ns.map]
-
-    def build():
-        P = dynatomic(ns.n, ns.h, form, degree_cap=ns.degree_cap)
-        return {
-            "kind": "dynatomic",
-            "form": form,
-            "n": ns.n,
-            "h": ns.h,
-            "poly": _bipoly_json(P),
-        }
-
-    key = _key("poly/dynatomic", n=ns.n, h=ns.h, form=form, cap=ns.degree_cap)
-    return _with_cache(ns, key, build)
-
-
-def cmd_poly_gleason(ns):
-    coord = ns.coord or "c"
-    key = _key("poly/gleason", n=ns.n, h=ns.h, coord=coord, cap=ns.degree_cap)
-    return _with_cache(
-        ns,
-        key,
-        lambda: _param_poly_json(
-            gleason_poly(ns.n, ns.h, coord, degree_cap=ns.degree_cap)
-        ),
-    )
-
-
-def cmd_poly_misiurewicz(ns):
-    coord = ns.coord or "chat"
-    key = _key(
-        "poly/misiurewicz",
-        n=ns.n, t=ns.t, h=ns.h, tau=ns.tau, coord=coord, cap=ns.degree_cap,
-    )
-    return _with_cache(
-        ns,
-        key,
-        lambda: _param_poly_json(
-            misiurewicz_poly(ns.n, ns.t, ns.h, ns.tau, coord, degree_cap=ns.degree_cap)
-        ),
-    )
-
-
-def cmd_poly_parabolic(ns):
-    coord = ns.coord or "c"
-    key = _key(
-        "poly/parabolic", n=ns.n, h=ns.h, m=ns.m, coord=coord, cap=ns.degree_cap
-    )
-    return _with_cache(
-        ns,
-        key,
-        lambda: _param_poly_json(
-            parabolic_param_poly(ns.n, ns.h, ns.m, coord, degree_cap=ns.degree_cap)
-        ),
-    )
+    P = dynatomic(ns.n, ns.h, form, degree_cap=ns.degree_cap)
+    return {"kind": "dynatomic", "form": form, "n": ns.n, "h": ns.h, "poly": _bipoly_json(P)}
 
 
 def cmd_poly_transform(ns):
-    if ns.coord is None:
-        raise UsageError("poly transform needs --coord (target coordinate)")
     try:
-        obj = json.load(sys.stdin)
-    except ValueError as exc:
-        raise UsageError(f"stdin is not a polynomial document: {exc}") from exc
-    try:
-        pp = ParamPolynomial.from_json(obj)
+        pp = ParamPolynomial.from_json(json.load(sys.stdin))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"stdin is not a polynomial document: {exc}") from exc
     return _param_poly_json(coord_transform(pp, ns.coord))
-
-
-# ---------------------------------------------------------------------------
-# verify / galois
 
 
 def _report_doc(ns, report):
     return report.to_json(timings=getattr(ns, "timings", False))
 
 
-def cmd_verify_thm14(ns):
-    key = _key("verify/thm14", n=ns.n, h=ns.h, m=ns.m)
-    return _with_cache(ns, key, lambda: _report_doc(ns, verify_thm_1_4(ns.n, ns.h, ns.m)))
-
-
-def cmd_verify_thm31(ns):
-    key = _key("verify/thm31", n=ns.n, t=ns.t, h=ns.h, tau=ns.tau)
-    return _with_cache(
-        ns, key, lambda: _report_doc(ns, verify_thm_3_1(ns.n, ns.t, ns.h, ns.tau))
-    )
-
-
-def cmd_verify_monic(ns):
-    key = _key("verify/monic", n=ns.n, h=ns.h)
-    return _with_cache(
-        ns, key, lambda: _report_doc(ns, verify_monic_structure(ns.n, ns.h))
-    )
-
-
-def cmd_verify_congruences(ns):
-    c = _parse_rational(ns.c)
-    key = _key("verify/congruences", n=ns.n, c=str(c), h=ns.h)
-    return _with_cache(
-        ns, key, lambda: _report_doc(ns, verify_congruences(ns.n, c, ns.h))
-    )
-
-
-def cmd_verify_units(ns):
-    c = _parse_rational(ns.c)
-    key = _key("verify/units", n=ns.n, c=str(c), h=ns.h)
-    return _with_cache(
-        ns, key, lambda: _report_doc(ns, verify_dynamical_units(ns.n, c, ns.h))
-    )
-
-
-def cmd_verify_sweep(ns):
-    ns_list = _parse_int_list(ns.ns)
-
-    def build():
-        if ns.claim == "thm14":
-            caps = SweepCaps(max_dynatomic_degree=ns.degree_cap)
-            reports = sweep_thm_1_4(ns=ns_list, r_max=ns.r_max, caps=caps)
-        else:
-            reports = sweep_thm_3_1(
-                ns=ns_list, sum_max=ns.sum_max, gleason_h_max=ns.gleason_h_max
-            )
-        return {
-            "claim": ns.claim,
-            "verdict": sweep_verdict(reports),
-            "reports": [_report_doc(ns, r) for r in reports],
-        }
-
+def _verify_sweep(ns):
     if ns.claim == "thm14":
-        key = _key(
-            "verify/sweep", claim=ns.claim, ns=ns_list, r_max=ns.r_max,
-            cap=ns.degree_cap,
-        )
+        caps = SweepCaps(max_dynatomic_degree=ns.degree_cap)
+        reports = sweep_thm_1_4(ns=ns.ns, r_max=ns.r_max, caps=caps)
     else:
-        key = _key(
-            "verify/sweep", claim=ns.claim, ns=ns_list, sum_max=ns.sum_max,
-            gleason_h_max=ns.gleason_h_max,
-        )
-    return _with_cache(ns, key, build)
+        reports = sweep_thm_3_1(ns=ns.ns, sum_max=ns.sum_max, gleason_h_max=ns.gleason_h_max)
+    return {"claim": ns.claim, "verdict": sweep_verdict(reports),
+            "reports": [_report_doc(ns, r) for r in reports]}
 
 
-def cmd_galois(ns):
-    key = _key(
-        "galois", kind=ns.kind, n=ns.n, h=ns.h, t=ns.t, tau=ns.tau, m=ns.m
-    )
-    return _with_cache(
-        ns,
-        key,
-        lambda: _report_doc(
-            ns, galois_experiment(ns.n, ns.kind, h=ns.h, t=ns.t, tau=ns.tau, m=ns.m)
-        ),
-    )
+def _usage_type(what: str, parse):
+    """parse(text), with a bad value reported as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad {what} {text!r}: {exc}") from exc
+
+    return convert
 
 
-# ---------------------------------------------------------------------------
-# ray
-
-
-def _parse_angle(text: str) -> Angle:
-    try:
-        return Angle.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad angle {text!r}: {exc}") from exc
+_parse_angle = _usage_type("angle", Angle.parse)
+_parse_rational = _usage_type("rational", Fraction)
+_parse_int_list = _usage_type("integer list", lambda text: tuple(map(int, text.split(","))))
 
 
 def _build_candidate(n: int, spec: str):
@@ -469,21 +338,117 @@ def cmd_ray_angles(ns):
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# command table: one entry per leaf command, and everything derived from it
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}") from exc
+def _ints(*flags):
+    """Required integer flags."""
+    return tuple((flag, {"type": int, "required": True}) for flag in flags)
 
 
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}: {exc}") from exc
+def _opt(flag, default=None, type=int):
+    return (flag, {"type": type, "default": default})
+
+
+def _coord(default):
+    # the per-family default is the parsed value, so an omitted --coord
+    # and an explicit one naming the default share one cache key
+    return ("--coord", {"choices": COORDINATES, "default": default})
+
+
+def _map(default):
+    return ("--map", {"choices": ("gb", "fc"), "default": default})
+
+
+def _rational(example):
+    help_ = f"rational parameter, e.g. {example}"
+    return ("--c", {"type": _parse_rational, "required": True, "help": help_})
+
+
+_CAP = _opt("--degree-cap", DEFAULT_DEGREE_CAP)
+_ANGLE = ("--angle", {"required": True, "help": "rational angle p/q"})
+
+
+@dataclass(frozen=True)
+class Command:
+    """A leaf command.  A cached command's key is its path plus the parsed
+    value of every listed argument, so equal cells share one entry however
+    they are spelled."""
+
+    path: str  # "group/leaf" or "leaf"; also the cache key's op
+    build: Callable  # ns -> document
+    args: tuple  # (flag or positional name, add_argument keywords), in order
+    cached: bool = True
+    timings: bool = False  # takes --timings
+
+
+COMMANDS = (
+    Command("poly/iterate", _poly_iterate, _ints("--n", "--h") + (_map("gb"), _CAP)),
+    Command("poly/dynatomic", _poly_dynatomic, _ints("--n", "--h") + (_map("fc"), _CAP)),
+    Command("poly/gleason", lambda ns: _param_poly_json(
+        gleason_poly(ns.n, ns.h, ns.coord, degree_cap=ns.degree_cap)
+    ), _ints("--n", "--h") + (_coord("c"), _CAP)),
+    Command("poly/misiurewicz", lambda ns: _param_poly_json(
+        misiurewicz_poly(ns.n, ns.t, ns.h, ns.tau, ns.coord, degree_cap=ns.degree_cap)
+    ), _ints("--n", "--t", "--h", "--tau") + (_coord("chat"), _CAP)),
+    Command("poly/parabolic", lambda ns: _param_poly_json(
+        parabolic_param_poly(ns.n, ns.h, ns.m, ns.coord, degree_cap=ns.degree_cap)
+    ), _ints("--n", "--h", "--m") + (_coord("c"), _CAP)),
+    Command("poly/transform", cmd_poly_transform,
+            (("--coord", {"choices": COORDINATES, "required": True}),), cached=False),
+    Command("verify/thm14", lambda ns: _report_doc(ns, verify_thm_1_4(ns.n, ns.h, ns.m)),
+            _ints("--n", "--h", "--m"), timings=True),
+    Command("verify/thm31", lambda ns: _report_doc(
+        ns, verify_thm_3_1(ns.n, ns.t, ns.h, ns.tau)
+    ), _ints("--n", "--t", "--h") + (_opt("--tau"),), timings=True),
+    Command("verify/monic", lambda ns: _report_doc(ns, verify_monic_structure(ns.n, ns.h)),
+            _ints("--n", "--h"), timings=True),
+    Command("verify/congruences", lambda ns: _report_doc(
+        ns, verify_congruences(ns.n, ns.c, ns.h)
+    ), _ints("--n") + (_rational("-1/4"),) + _ints("--h"), timings=True),
+    Command("verify/units", lambda ns: _report_doc(
+        ns, verify_dynamical_units(ns.n, ns.c, ns.h)
+    ), _ints("--n") + (_rational("-2"),) + _ints("--h"), timings=True),
+    Command("verify/sweep", _verify_sweep, (
+        ("claim", {"choices": ("thm14", "thm31")}),
+        ("--ns", {"type": _parse_int_list, "default": "2,3,4",
+                  "help": "comma-separated degrees n"}),
+        _opt("--r-max", 6), _opt("--sum-max", 6), _opt("--gleason-h-max", 5),
+        _opt("--degree-cap", SweepCaps().max_dynatomic_degree),
+    ), timings=True),
+    Command("ray/trace", cmd_ray_trace, _ints("--n") + (
+        _ANGLE, _opt("--potential-start", 32.0, float), _opt("--potential-end", 1e-8, float),
+        _opt("--steps-per-halving", 12), _opt("--precision-bits", 256),
+    ), cached=False),
+    Command("ray/land", cmd_ray_land, _ints("--n") + (
+        _ANGLE,
+        ("--candidates", {"action": "append", "default": None,
+                          "help": "candidate family, e.g. parabolic:4,1 (repeatable)"}),
+        _opt("--potential-end", 1e-8, float), _opt("--precision-bits", 256),
+        _opt("--tolerance", 1e-6, float), _opt("--margin-min", 10.0, float),
+    ), cached=False),
+    Command("ray/angles", cmd_ray_angles, (_opt("--n", 2),), cached=False),
+    Command("galois", lambda ns: _report_doc(
+        ns, galois_experiment(ns.n, ns.kind, h=ns.h, t=ns.t, tau=ns.tau, m=ns.m)
+    ), (
+        ("--kind", {"choices": ("gleason", "misiurewicz", "parabolic"), "required": True}),
+        *_ints("--n", "--h"), _opt("--t"), _opt("--tau"), _opt("--m"),
+    ), timings=True),
+    Command("cache/gc", cmd_cache_gc, _ints("--max-bytes"), cached=False),
+    Command("cache/stat", cmd_cache_stat, (), cached=False),
+)
+
+# the dest of each group's subcommand, as argparse names it in usage errors
+_GROUP_DEST = {"poly": "family", "verify": "claim_group", "ray": "ray_op", "cache": "cache_op"}
+
+
+def _run(cmd: Command, ns):
+    """Build cmd's document, through the cache when cmd is cached."""
+    if not cmd.cached:
+        return cmd.build(ns)
+    dests = (flag.lstrip("-").replace("-", "_") for flag, _ in cmd.args)
+    key = _key(cmd.path, **{dest: getattr(ns, dest) for dest in dests})
+    return _with_cache(ns, key, lambda: cmd.build(ns))
 
 
 def build_parser() -> _Parser:
@@ -498,128 +463,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="unicrit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
-
-    def leaf(sub, name, handler, parents=(common,), **kw):
-        p = sub.add_parser(name, parents=list(parents), **kw)
-        if handler is not None:
-            # group parsers must not predefine the dest: argparse applies
-            # parent defaults to the namespace first, which would mask the
-            # leaf's set_defaults
-            p.set_defaults(handler=handler)
-        return p
-
-    # poly
-    poly = leaf(groups, "poly", None).add_subparsers(
-        dest="family", required=True, parser_class=_Parser
-    )
-    p = leaf(poly, "iterate", cmd_poly_iterate)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--map", choices=("gb", "fc"), default="gb")
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    p = leaf(poly, "dynatomic", cmd_poly_dynatomic)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--map", choices=("gb", "fc"), default="fc")
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    p = leaf(poly, "gleason", cmd_poly_gleason)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--coord", choices=COORDINATES, default=None)
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    p = leaf(poly, "misiurewicz", cmd_poly_misiurewicz)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--coord", choices=COORDINATES, default=None)
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    p = leaf(poly, "parabolic", cmd_poly_parabolic)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--coord", choices=COORDINATES, default=None)
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    p = leaf(poly, "transform", cmd_poly_transform)
-    p.add_argument("--coord", choices=COORDINATES, required=True)
-
-    # verify
-    verify = leaf(groups, "verify", None).add_subparsers(
-        dest="claim_group", required=True, parser_class=_Parser
-    )
-    p = leaf(verify, "thm14", cmd_verify_thm14, parents=(common, timed))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p = leaf(verify, "thm31", cmd_verify_thm31, parents=(common, timed))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--tau", type=int, default=None)
-    p = leaf(verify, "monic", cmd_verify_monic, parents=(common, timed))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p = leaf(verify, "congruences", cmd_verify_congruences, parents=(common, timed))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", required=True, help="rational parameter, e.g. -1/4")
-    p.add_argument("--h", type=int, required=True)
-    p = leaf(verify, "units", cmd_verify_units, parents=(common, timed))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", required=True, help="rational parameter, e.g. -2")
-    p.add_argument("--h", type=int, required=True)
-    p = leaf(verify, "sweep", cmd_verify_sweep, parents=(common, timed))
-    p.add_argument("claim", choices=("thm14", "thm31"))
-    p.add_argument("--ns", default="2,3,4", help="comma-separated degrees n")
-    p.add_argument("--r-max", type=int, default=6)
-    p.add_argument("--sum-max", type=int, default=6)
-    p.add_argument("--gleason-h-max", type=int, default=5)
-    p.add_argument("--degree-cap", type=int, default=SweepCaps().max_dynatomic_degree)
-
-    # ray
-    ray = leaf(groups, "ray", None).add_subparsers(
-        dest="ray_op", required=True, parser_class=_Parser
-    )
-    p = leaf(ray, "trace", cmd_ray_trace)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--angle", required=True, help="rational angle p/q")
-    p.add_argument("--potential-start", type=float, default=32.0)
-    p.add_argument("--potential-end", type=float, default=1e-8)
-    p.add_argument("--steps-per-halving", type=int, default=12)
-    p.add_argument("--precision-bits", type=int, default=256)
-    p = leaf(ray, "land", cmd_ray_land)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--angle", required=True, help="rational angle p/q")
-    p.add_argument(
-        "--candidates",
-        action="append",
-        default=None,
-        help="candidate family, e.g. parabolic:4,1 (repeatable)",
-    )
-    p.add_argument("--potential-end", type=float, default=1e-8)
-    p.add_argument("--precision-bits", type=int, default=256)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--margin-min", type=float, default=10.0)
-    p = leaf(ray, "angles", cmd_ray_angles)
-    p.add_argument("--n", type=int, default=2)
-
-    # galois
-    p = leaf(groups, "galois", cmd_galois, parents=(common, timed))
-    p.add_argument("--kind", choices=("gleason", "misiurewicz", "parabolic"),
-                   required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-
-    # cache
-    cache = leaf(groups, "cache", None).add_subparsers(
-        dest="cache_op", required=True, parser_class=_Parser
-    )
-    p = leaf(cache, "gc", cmd_cache_gc)
-    p.add_argument("--max-bytes", type=int, required=True)
-    leaf(cache, "stat", cmd_cache_stat)
-
+    subs = {}
+    for cmd in COMMANDS:
+        group, _, name = cmd.path.rpartition("/")
+        if group and group not in subs:
+            subs[group] = groups.add_parser(group, parents=[common]).add_subparsers(
+                dest=_GROUP_DEST[group], required=True, parser_class=_Parser
+            )
+        p = subs.get(group, groups).add_parser(
+            name, parents=[common, timed] if cmd.timings else [common]
+        )
+        # only leaves set the command: argparse applies a group parser's
+        # defaults to the namespace first, which would mask the leaf's
+        p.set_defaults(command=cmd)
+        for flag, kw in cmd.args:
+            p.add_argument(flag, **kw)
     return parser
 
 
@@ -744,10 +602,6 @@ def _emit(doc: dict, fmt: str) -> None:
         print(_dumps(doc))
 
 
-def _error_doc(kind: str, detail: str) -> dict:
-    return {"error": {"kind": kind, "detail": detail}}
-
-
 def _absorb_rational_values(argv: list) -> list:
     # argparse treats "-1/4" as an option string, not a value; fold the
     # token after --c into --c=... so negative rationals parse
@@ -762,6 +616,23 @@ def _absorb_rational_values(argv: list) -> list:
     return out
 
 
+# exception type, error kind, exit code; the first match wins, so subclasses
+# come before their bases (SpecialCaseError and ParabolicCollisionError are
+# ValueErrors, PrecisionExhaustedError is a RayTraceError).  An exit-0 kind
+# is reported as a note, not an error.
+_ERRORS = (
+    (UsageError, "usage", EXIT_USAGE),
+    (DegreeCapError, "degree-cap", EXIT_CAP),
+    (PrecisionExhaustedError, "precision-exhausted", EXIT_CAP),
+    (SpecialCaseError, "special-case", EXIT_OK),
+    (ParabolicCollisionError, "parabolic-collision", EXIT_FAIL),
+    (RayTraceError, "numeric", EXIT_FAIL),
+    (NonConvergenceError, "numeric", EXIT_FAIL),
+    (ValueError, "usage", EXIT_USAGE),
+    (OSError, "filesystem", EXIT_FAIL),
+)
+
+
 def main(argv=None) -> int:
     try:
         # die silently at 128+SIGPIPE when a downstream consumer closes
@@ -769,42 +640,20 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     except (AttributeError, ValueError):
         pass
+    if hasattr(sys, "set_int_max_str_digits"):
+        # coefficients and norms are decimal strings of any length
+        sys.set_int_max_str_digits(0)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     argv = _absorb_rational_values(argv)
-    parser = build_parser()
+    fmt = "json"  # until --format is parsed
     try:
-        ns = parser.parse_args(argv)
-    except UsageError as exc:
-        _emit(_error_doc("usage", str(exc)), "json")
-        return EXIT_USAGE
-
-    fmt = getattr(ns, "format", "json")
-    try:
-        doc = ns.handler(ns)
-    except UsageError as exc:
-        _emit(_error_doc("usage", str(exc)), fmt)
-        return EXIT_USAGE
-    except DegreeCapError as exc:
-        _emit(_error_doc("degree-cap", str(exc)), fmt)
-        return EXIT_CAP
-    except PrecisionExhaustedError as exc:
-        _emit(_error_doc("precision-exhausted", str(exc)), fmt)
-        return EXIT_CAP
-    except SpecialCaseError as exc:
-        _emit({"note": {"kind": "special-case", "detail": str(exc)}}, fmt)
-        return EXIT_OK
-    except ParabolicCollisionError as exc:
-        _emit(_error_doc("parabolic-collision", str(exc)), fmt)
-        return EXIT_FAIL
-    except (RayTraceError, NonConvergenceError) as exc:
-        _emit(_error_doc("numeric", str(exc)), fmt)
-        return EXIT_FAIL
-    except ValueError as exc:
-        _emit(_error_doc("usage", str(exc)), fmt)
-        return EXIT_USAGE
-    except OSError as exc:
-        _emit(_error_doc("filesystem", str(exc)), fmt)
-        return EXIT_FAIL
+        ns = build_parser().parse_args(argv)
+        fmt = getattr(ns, "format", "json")
+        doc = _run(ns.command, ns)
+    except tuple(exc_type for exc_type, _, _ in _ERRORS) as exc:
+        kind, code = next((k, c) for t, k, c in _ERRORS if isinstance(exc, t))
+        _emit({"note" if code == EXIT_OK else "error": {"kind": kind, "detail": str(exc)}}, fmt)
+        return code
 
     _emit(doc, fmt)
     return _exit_for(doc)

@@ -35,11 +35,9 @@ from .polycore import _newton_interpolate_fractions
 __all__ = [
     "COORDINATES",
     "DEFAULT_DEGREE_CAP",
-    "NORMAL_FORMS",
     "CriticalOrbitPoly",
     "DegreeCapError",
     "IteratePair",
-    "MapFamily",
     "ParamPolynomial",
     "SpecialCaseError",
     "coord_transform",
@@ -60,7 +58,6 @@ __all__ = [
 DEFAULT_DEGREE_CAP = 4096
 
 COORDINATES = ("c", "chat", "b", "bhat")
-NORMAL_FORMS = ("f_c", "g_b", "F_chat")
 
 
 class DegreeCapError(Exception):
@@ -94,23 +91,6 @@ def _validate_n(n: int) -> None:
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class MapFamily:
-    """Degree n together with a choice of normal form.
-
-    The three forms are conjugate: w = n^(1/(n-1)) z carries z^n + c to
-    (w^n + b)/n with b = n^(n/(n-1)) c, and zeta = z / f_c(0)-scaling
-    carries the critical orbit to that of chat*zeta^n + 1.
-    """
-
-    n: int
-    form: str = "f_c"
-
-    def __post_init__(self):
-        _validate_n(self.n)
-        _require(self.form in NORMAL_FORMS, f"unknown normal form {self.form!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polycore import IntPoly, gcd_fast, poly_from_json, poly_to_json
+from .polycore import IntPoly, _is_prime, gcd_fast, poly_from_json, poly_to_json
 
 _NP_THRESHOLD = 200  # below this, plain python lists beat numpy overhead
 
@@ -427,7 +427,7 @@ def _candidate_primes(G: IntPoly, how_many: int = 8) -> list[int]:
     gp = G.derivative()
     while len(out) < how_many and p < 10_000:
         p += 2
-        if not _isprime_small(p):
+        if not _is_prime(p):
             continue
         if G.lc % p == 0:
             continue
@@ -441,17 +441,6 @@ def _candidate_primes(G: IntPoly, how_many: int = 8) -> list[int]:
     if not out:
         raise ArithmeticError("no prime of good reduction found below 10000")
     return out
-
-
-def _isprime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:

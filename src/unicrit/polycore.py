@@ -14,8 +14,6 @@ Everything here is a pure function of immutable values.  Coefficients are
 arbitrary-precision; nothing ever rounds.  Large bivariate eliminations are
 computed through mod-p images recombined by CRT against a rigorous
 Sylvester-determinant height bound, so the results are exact, not sampled.
-
-Rationals are stdlib fractions: ``BigRational is fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-
-BigRational = Fraction
 
 
 class NotDivisibleError(ArithmeticError):
@@ -319,8 +315,10 @@ class IntPoly:
         for k in range(da - db, -1, -1):
             t, leftover = divmod(r[k + db], lb)
             if leftover:
+                # degrees only: str() of a huge coefficient would raise
+                # ValueError past Python's int-to-str digit limit
                 raise NotDivisibleError(
-                    f"non-integral quotient dividing by leading {lb}"
+                    f"non-integral quotient dividing degree {da} by degree {db}"
                 )
             if t:
                 q[k] = t
@@ -331,7 +329,9 @@ class IntPoly:
     def divexact(self, other: "IntPoly") -> "IntPoly":
         q, r = self.divmod_exact(other)
         if not r.is_zero:
-            raise NotDivisibleError(f"remainder {r} dividing by {other}")
+            raise NotDivisibleError(
+                f"remainder of degree {r.degree} dividing by degree {other.degree}"
+            )
         return q
 
     def divides(self, other: "IntPoly") -> bool:
@@ -348,9 +348,6 @@ class IntPoly:
 
     def max_coeff_bits(self) -> int:
         return max((abs(c).bit_length() for c in self.coeffs), default=0)
-
-    def sort_key(self) -> tuple:
-        return (self.degree, self.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -484,7 +481,7 @@ def _reduce_mod(poly: IntPoly, p: int) -> np.ndarray:
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     # r mod m1*m2 with r = r1 mod m1, r2 mod m2
-    inv = pow(m1 % m2, m2 - 2, m2) if _is_prime(m2) else pow(m1 % m2, -1, m2)
+    inv = pow(m1 % m2, -1, m2)
     t = (r2 - r1) % m2 * inv % m2
     return r1 + m1 * t
 
@@ -867,9 +864,6 @@ class BiPoly:
             tuple(r[j] if j < len(r) else 0 for r in self.rows) for j in range(width)
         ]
         return BiPoly(rows, self.inner, self.outer)
-
-    def sort_key(self) -> tuple:
-        return (self.degree(self.outer), self.degree(self.inner), self.rows)
 
 
 def _bipoly_mul_modular(A: BiPoly, B: BiPoly) -> BiPoly:

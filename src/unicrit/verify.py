@@ -28,7 +28,7 @@ from .dynmaps import (
     periodicity_poly,
 )
 from .dynmaps import _strip_factors
-from .factorz import factor
+from .factorz import _norm_unchecked, factor
 from .numfield import (
     ParabolicCollisionError,
     congruence_certificates,
@@ -50,17 +50,6 @@ __all__ = [
     "verify_thm_1_4",
     "verify_thm_3_1",
 ]
-
-CLAIMS = (
-    "thm14",
-    "thm31",
-    "lemma31",
-    "eq4",
-    "remark22",
-    "remark23",
-    "monic11",
-    "galois33",
-)
 
 SCOPE_NOTE_MONIC = (
     "monic structure plus per-element integrality certificates stand in "
@@ -98,11 +87,6 @@ def _finish(claim, cell, witnesses, verdict, t0) -> VerificationReport:
     return VerificationReport(claim, cell, tuple(witnesses), verdict, elapsed)
 
 
-def _signed_norm(p: IntPoly) -> int:
-    """Norm of a root of a monic irreducible factor: (-1)^deg * p(0)."""
-    return -p.constant if p.degree % 2 else p.constant
-
-
 def _divisibility_witness(piece: IntPoly, coordinate: str, bound: int):
     """Witness dict for |Norm(root of piece)| dividing bound; (witness, ok)."""
     w = {
@@ -114,7 +98,7 @@ def _divisibility_witness(piece: IntPoly, coordinate: str, bound: int):
         w["verdict"] = "fail"
         w["note"] = "factor is not monic; its root is not an algebraic integer"
         return w, False
-    norm = _signed_norm(piece)
+    norm = _norm_unchecked(piece)
     w["norm"] = str(norm)
     w["bound"] = str(bound)
     if norm != 0 and bound % abs(norm) == 0:
@@ -178,7 +162,7 @@ def verify_thm_3_1(
                 witnesses.append({"note": str(exc)})
                 return _finish("thm31", cell, witnesses, "not_applicable", t0)
             for piece, _ in factor(param.poly).factors:
-                norm = _signed_norm(piece) if piece.is_monic else None
+                norm = _norm_unchecked(piece) if piece.is_monic else None
                 w = {
                     "coordinate": "chat",
                     "factor": poly_to_json(piece),
@@ -206,7 +190,7 @@ def verify_thm_3_1(
                     )
                     verdict = "fail"
                     continue
-                norm = _signed_norm(piece)
+                norm = _norm_unchecked(piece)
                 ok = norm != 0 and n % abs(norm) == 0
                 witnesses.append(
                     {
@@ -389,11 +373,12 @@ def galois_experiment(
             "galois33", cell, [{"skipped": True, "reason": str(exc)}], "incomplete", t0
         )
     pieces = factor(poly).factors
-    reading = (
-        "consistent with single-orbit conjecture"
-        if len(pieces) == 1
-        else "inconsistent with single-orbit conjecture"
-    )
+    if not pieces:
+        reading = "empty stratum: no parameter lies in this cell"
+    elif len(pieces) == 1:
+        reading = "consistent with single-orbit conjecture"
+    else:
+        reading = "inconsistent with single-orbit conjecture"
     witnesses = [
         {
             "factor_count": len(pieces),

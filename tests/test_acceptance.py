@@ -19,12 +19,11 @@ from unicrit.dynmaps import (
     misiurewicz_poly,
     parabolic_param_poly,
 )
-from unicrit.factorz import factor
+from unicrit.factorz import _norm_unchecked, factor
 from unicrit.numfield import NumberField, RatPoly, norm_and_trace
 from unicrit.polycore import BiPoly, IntPoly, product_equals, resultant_univariate
 from unicrit.raytrace import Angle, land_and_match
 from unicrit.verify import (
-    _signed_norm,
     sweep_thm_1_4,
     sweep_thm_3_1,
     sweep_verdict,
@@ -77,11 +76,11 @@ def test_criterion_3_parabolic_factor_norms():
     factors_41 = [p for p, _ in factor(parabolic_param_poly(2, 4, 1, "b").poly).factors]
     assert cubic in factors_41
 
-    assert _signed_norm(lin_12) == -3
-    assert _signed_norm(lin_22) == -5
-    assert _signed_norm(IntPoly((7, 1), "b")) == -7
-    assert _signed_norm(IntPoly((7, 1, 1), "b")) == 7
-    assert _signed_norm(cubic) in (135, -135)
+    assert _norm_unchecked(lin_12) == -3
+    assert _norm_unchecked(lin_22) == -5
+    assert _norm_unchecked(IntPoly((7, 1), "b")) == -7
+    assert _norm_unchecked(IntPoly((7, 1, 1), "b")) == 7
+    assert _norm_unchecked(cubic) in (135, -135)
     assert time.perf_counter() - t0 < 30.0
 
 

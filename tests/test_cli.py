@@ -3,13 +3,16 @@
 import contextlib
 import io
 import json
+import re
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from unicrit.cli import DEFAULT_ANGLES, main
+from unicrit import cli
+from unicrit.cli import COMMANDS, DEFAULT_ANGLES, main
 
 
 def run(args, stdin=None):
@@ -101,6 +104,22 @@ def test_poly_transform_rejects_garbage():
     code, doc = run_json(["poly", "transform", "--coord", "b"], stdin="not json")
     assert code == 2
     assert doc["error"]["kind"] == "usage"
+
+
+def test_poly_transform_huge_coefficients():
+    # a fresh interpreter keeps Python's 4,300-digit int<->str limit, which
+    # the CLI lifts: decimal strings are safe at any size
+    big = "1" + "0" * 4999 + "1"  # 10^5000 + 1, 5,001 digits
+    doc = {"var": "chat", "coeffs": [big, "1", "1"], "coordinate": "chat", "n": 3,
+           "provenance": {"kind": "test"}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "unicrit.cli", "poly", "transform", "--coord", "bhat"],
+        input=json.dumps(doc), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout
+    out = json.loads(proc.stdout)
+    # roots scale by 3^3 = 27: x^2 + x + K -> x^2 + 27 x + 729 K
+    assert out["coeffs"] == ["729" + "0" * 4997 + "729", "27", "1"]
+    assert out["coordinate"] == "bhat"
 
 
 # ---------------------------------------------------------------- verify
@@ -296,6 +315,63 @@ def test_cache_recomputes_after_eviction(tmp_path):
     run(["cache", "gc", "--max-bytes", "0", "--cache-dir", str(tmp_path)])
     _, out2 = run(args)
     assert out2 == out1
+
+
+def _cache_keys(monkeypatch, *calls):
+    """The cache key each call derives; handlers look _with_cache up at
+    call time, so the stub sees every cached call and builds nothing."""
+    keys = []
+    monkeypatch.setattr(cli, "_with_cache", lambda ns, key, build: keys.append(key) or {})
+    for args in calls:
+        assert run(args.split())[0] == 0
+    return keys
+
+
+def test_cache_keys_equal_for_equivalent_spellings(monkeypatch):
+    a, b = _cache_keys(monkeypatch, "verify congruences --n 2 --c -2/4 --h 1",
+                       "verify congruences --n 2 --c -1/2 --h 1")
+    assert a == b
+    a, b = _cache_keys(monkeypatch, "poly gleason --n 2 --h 3",
+                       "poly gleason --n 2 --h 3 --coord c")
+    assert a == b
+    a, b = _cache_keys(monkeypatch, "verify sweep thm14 --ns 2,3",
+                       "verify sweep thm14 --ns 2,03 --format table")
+    assert a == b
+
+
+def test_cache_keys_differ_per_argument(monkeypatch):
+    keys = _cache_keys(
+        monkeypatch,
+        "poly gleason --n 2 --h 3",
+        "poly gleason --n 2 --h 3 --degree-cap 100",
+        "poly gleason --n 2 --h 4",
+        "poly gleason --n 3 --h 3",
+        "poly gleason --n 2 --h 3 --coord b",
+        "poly parabolic --n 2 --h 3 --m 1",
+        "verify sweep thm14 --ns 2,3",
+        "verify sweep thm14 --ns 2",
+        "verify sweep thm14 --ns 2,3 --degree-cap 60",
+        "verify sweep thm31 --ns 2,3",
+        "galois --kind misiurewicz --n 2 --t 1 --h 1 --tau 2",
+        "galois --kind misiurewicz --n 2 --t 2 --h 1 --tau 2",
+    )
+    assert len(set(keys)) == len(keys)
+
+
+def test_uncached_commands_skip_the_cache(monkeypatch, tmp_path):
+    assert _cache_keys(monkeypatch, "ray angles", f"cache stat --cache-dir {tmp_path}") == []
+    uncached = {cmd.path for cmd in COMMANDS if not cmd.cached}
+    assert uncached == {"poly/transform", "ray/trace", "ray/land", "ray/angles",
+                        "cache/gc", "cache/stat"}
+
+
+def test_command_table_matches_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("Subcommands:", 1)[1].split(".", 1)[0]
+    listed = set()
+    for group, leaves in re.findall(r"`(\w+)(?: \{([\w|]+)\})?`", listing):
+        listed |= {f"{group}/{leaf}" for leaf in leaves.split("|")} if leaves else {group}
+    assert {cmd.path for cmd in COMMANDS} == listed
 
 
 # ---------------------------------------------------------------- surface

@@ -10,7 +10,6 @@ from unicrit.dynmaps import (
     CriticalOrbitPoly,
     DegreeCapError,
     IteratePair,
-    MapFamily,
     ParamPolynomial,
     SpecialCaseError,
     coord_transform,
@@ -142,9 +141,6 @@ def test_validation_errors():
         critical_orbit_poly(2, 0)
     with pytest.raises(ValueError):
         dynatomic(2, 2, form="nope")
-    with pytest.raises(ValueError):
-        MapFamily(2, "weird")
-    assert MapFamily(3).form == "f_c"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Fraction.  Nothing in the oracle shares code with the implementation.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,20 @@ def test_divexact_raises_on_remainder():
     with pytest.raises(NotDivisibleError):
         (x ** 2 + 1).divexact(IntPoly((1, 2)))  # non-integral quotient
     assert ((x + 1) * (x + 2)).divexact(x + 1) == x + 2
+
+
+def test_divides_huge_remainder_is_false():
+    # the remainder has over 4,300 digits, past Python's default int-to-str
+    # limit (restored here: the CLI lifts it for the whole process); the
+    # NotDivisibleError message must not stringify it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        assert not IntPoly((1, 1)).divides(IntPoly((10 ** 5000, 0, 1)))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _frac_divmod(a, b):

@@ -191,6 +191,15 @@ def test_galois_parabolic_stratified():
     assert (w["factor_count"], w["factors"][0]["coeffs"]) == (1, ["7", "4"])
 
 
+def test_galois_empty_stratum_reads_empty():
+    # the period-2 multiplier-1 stratum of z^2 + c has no parameter at all
+    rep = galois_experiment(2, "parabolic", h=2, m=1)
+    assert rep.verdict == "pass"
+    w = rep.witnesses[0]
+    assert (w["factor_count"], w["degrees"], w["factors"]) == (0, [], [])
+    assert w["reading"].startswith("empty stratum")
+
+
 def test_galois_usage():
     assert galois_experiment(2, "gleason", h=1).verdict == "not_applicable"
     with pytest.raises(ValueError):
