@@ -244,6 +244,10 @@ def _report_doc(ns, report):
     return report.to_json(timings=getattr(ns, "timings", False))
 
 
+# the flags each sweep claim reads; its cache key names only these
+_SWEEP_READS = {"thm14": ("ns", "r_max", "degree_cap"), "thm31": ("ns", "sum_max", "gleason_h_max")}
+
+
 def _verify_sweep(ns):
     if ns.claim == "thm14":
         caps = SweepCaps(max_dynatomic_degree=ns.degree_cap)
@@ -372,14 +376,15 @@ _ANGLE = ("--angle", {"required": True, "help": "rational angle p/q"})
 @dataclass(frozen=True)
 class Command:
     """A leaf command.  A cached command's key is its path plus the parsed
-    value of every listed argument, so equal cells share one entry however
-    they are spelled."""
+    value of every argument the builder reads, so equal cells share one entry
+    however they are spelled."""
 
     path: str  # "group/leaf" or "leaf"; also the cache key's op
     build: Callable  # ns -> document
     args: tuple  # (flag or positional name, add_argument keywords), in order
     cached: bool = True
     timings: bool = False  # takes --timings
+    reads: Callable | None = None  # ns -> dests the builder reads; None: all args
 
 
 COMMANDS = (
@@ -415,7 +420,7 @@ COMMANDS = (
                   "help": "comma-separated degrees n"}),
         _opt("--r-max", 6), _opt("--sum-max", 6), _opt("--gleason-h-max", 5),
         _opt("--degree-cap", SweepCaps().max_dynatomic_degree),
-    ), timings=True),
+    ), timings=True, reads=lambda ns: ("claim",) + _SWEEP_READS[ns.claim]),
     Command("ray/trace", cmd_ray_trace, _ints("--n") + (
         _ANGLE, _opt("--potential-start", 32.0, float), _opt("--potential-end", 1e-8, float),
         _opt("--steps-per-halving", 12), _opt("--precision-bits", 256),
@@ -446,7 +451,10 @@ def _run(cmd: Command, ns):
     """Build cmd's document, through the cache when cmd is cached."""
     if not cmd.cached:
         return cmd.build(ns)
-    dests = (flag.lstrip("-").replace("-", "_") for flag, _ in cmd.args)
+    if cmd.reads is not None:
+        dests = cmd.reads(ns)
+    else:
+        dests = (flag.lstrip("-").replace("-", "_") for flag, _ in cmd.args)
     key = _key(cmd.path, **{dest: getattr(ns, dest) for dest in dests})
     return _with_cache(ns, key, lambda: cmd.build(ns))
 

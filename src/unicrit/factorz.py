@@ -7,8 +7,16 @@ distinct/equal-degree factorization over GF(p), quadratic Hensel lifting
 along a factor tree, and subset recombination against a rigorous factor
 coefficient bound.  Output order is deterministic: (degree, coefficients).
 
+Arithmetic in GF(p)[x]/(f) goes through one kernel, _Ring, built once per
+(f, p): numpy int64 convolution plus a precomputed reduction matrix above a
+small degree, plain lists below it.  Each candidate prime's Frobenius matrix
+Q (rows x^(ip) mod f) is built once; its nullity is Berlekamp's factor
+count, and the best prime's Q then drives distinct-degree factorization as
+the linear map h -> h^p.  Hensel products use Kronecker substitution.
+
 Everything is exact; the final factorization is re-multiplied and compared
-against the input before it is returned.
+against the input before it is returned, and a failed check raises
+ArithmeticError (never an assert, so it survives python -O).
 """
 
 from __future__ import annotations
@@ -22,7 +30,19 @@ import numpy as np
 
 from .polycore import IntPoly, _is_prime, gcd_fast, poly_from_json, poly_to_json
 
-_NP_THRESHOLD = 200  # below this, plain python lists beat numpy overhead
+# Above this degree a product in GF(p)[x]/(f) is one numpy convolution plus
+# one matrix-vector reduction; at or below it numpy's per-call overhead costs
+# more than the list loops.  Factoring the thm31 sweep's inputs with this
+# switch at 4 ... 32 was fastest at 12 and 16.
+_NP_MIN_DEGREE = 16
+# Above this many terms (of the shorter factor) a product over Z/m is one
+# big-integer multiplication (Kronecker substitution) instead of schoolbook.
+# Measured crossover: ~10 terms at 60-bit moduli, ~24 at 600-bit ones.
+_KRONECKER_MIN_TERMS = 16
+# Degrees that share one gcd in distinct-degree factorization: a gcd costs
+# O(d^2) list steps, the product that merges one more degree into it one
+# ring product.  Blocks of 4 ... 32 timed alike on the thm31 sweep's inputs.
+_DDF_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -71,11 +91,6 @@ def _ptrim(a: list[int]) -> list[int]:
 def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
-    if min(len(a), len(b)) >= _NP_THRESHOLD:
-        out = np.convolve(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-        ) % p
-        return _ptrim([int(v) for v in out])
     out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u:
@@ -88,16 +103,6 @@ def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
     """a mod f with f monic."""
     if len(a) < len(f):
         return list(a)
-    if len(a) >= _NP_THRESHOLD:
-        r = np.array(a, dtype=np.int64)
-        fv = np.array(f, dtype=np.int64)
-        df = len(f) - 1
-        for k in range(len(a) - len(f), -1, -1):
-            t = int(r[k + df])
-            if t:
-                r[k : k + df] = (r[k : k + df] - t * fv[:df]) % p
-                r[k + df] = 0
-        return _ptrim([int(v) for v in r[:df]])
     r = list(a)
     df = len(f) - 1
     for k in range(len(a) - len(f), -1, -1):
@@ -107,22 +112,6 @@ def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
                 r[k + j] = (r[k + j] - t * f[j]) % p
             r[k + df] = 0
     return _ptrim(r[:df])
-
-
-def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    b = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, b, f, p)
-        e >>= 1
-        if e:
-            b = _pmulmod(b, b, f, p)
-    return result
 
 
 def _pmonic(a: list[int], p: int) -> list[int]:
@@ -164,32 +153,106 @@ def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return _ptrim(q), _ptrim(r[:df])
 
 
+def _pexactdiv(a: list[int], b: list[int], p: int) -> list[int]:
+    q, r = _pdivmod(a, b, p)
+    if r:
+        raise ArithmeticError(f"GF({p}) division left a remainder of degree {len(r) - 1}")
+    return q
+
+
 def _reduce(poly: IntPoly, p: int) -> list[int]:
     return _ptrim([c % p for c in poly.coeffs])
+
+
+class _Ring:
+    """GF(p)[x]/(f) for monic f of degree d >= 1.
+
+    Built once per (f, p).  Above _NP_MIN_DEGREE an element is an int64
+    vector of length d, and a product is a convolution whose top d - 1
+    coefficients are folded back by the precomputed rows x^d .. x^(2d-2)
+    mod f.  At or below it, elements are coefficient lists and products use
+    the list helpers above.  Every int64 sum has at most d terms below p^2,
+    so p^2 * d < 2^63 keeps it exact.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        d = len(f) - 1
+        if p * p * d >= 1 << 63:
+            raise OverflowError(f"GF({p}) products of degree {d} overflow int64")
+        self.f, self.p, self.d = f, p, d
+        self.red = None
+        if d > _NP_MIN_DEGREE:
+            red = np.empty((d - 1, d), dtype=np.int64)
+            red[0] = [-c % p for c in f[:d]]
+            for k in range(1, d - 1):
+                red[k, 0] = 0
+                red[k, 1:] = red[k - 1, :-1]
+                red[k] = (red[k] + red[k - 1, -1] * red[0]) % p
+            self.red = red
+
+    def _vec(self, a: list[int]):
+        a = _pmod(a, self.f, self.p)
+        if self.red is None:
+            return a
+        v = np.zeros(self.d, dtype=np.int64)
+        v[: len(a)] = a
+        return v
+
+    def _mul(self, u, v):
+        if self.red is None:
+            return _pmod(_pmul(u, v, self.p), self.f, self.p)
+        c = np.convolve(u, v) % self.p
+        return (c[: self.d] + c[self.d :] @ self.red) % self.p
+
+    def _pow(self, a: list[int], e: int):
+        result, b = self._vec([1]), self._vec(a)
+        while e:
+            if e & 1:
+                result = self._mul(result, b)
+            e >>= 1
+            if e:
+                b = self._mul(b, b)
+        return result
+
+    def _list(self, v) -> list[int]:
+        return v if self.red is None else _ptrim(v.tolist())
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        """a * b mod f."""
+        return self._list(self._mul(self._vec(a), self._vec(b)))
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        """a^e mod f."""
+        return self._list(self._pow(a, e))
+
+    def frobenius(self) -> np.ndarray:
+        """Berlekamp's Q: row i is x^(ip) mod f, so h^p = h @ Q for any h."""
+        q = np.zeros((self.d, self.d), dtype=np.int64)
+        q[0, 0] = 1
+        xp = cur = self._pow([0, 1], self.p)
+        for i in range(1, self.d):
+            q[i, : len(cur)] = cur
+            cur = self._mul(cur, xp)
+        return q
 
 
 # ---------------------------------------------------------------------------
 # Berlekamp factor count
 
 
-def _berlekamp_factor_count(f: list[int], p: int) -> int:
-    """Number of irreducible factors of squarefree monic f over GF(p)."""
-    d = len(f) - 1
-    if d <= 1:
-        return d
-    xp = _ppowmod([0, 1], p, f, p)
-    rows = np.zeros((d, d), dtype=np.int64)
-    rows[0, 0] = 1
-    cur = [1]
-    for i in range(1, d):
-        cur = _pmulmod(cur, xp, f, p)
-        rows[i, : len(cur)] = cur
-    m = (rows - np.eye(d, dtype=np.int64)) % p
-    # rank over GF(p) by vectorized elimination
+def _berlekamp_factor_count(q: np.ndarray, p: int) -> int:
+    """Number of irreducible factors over GF(p) of a squarefree monic f,
+    from its Frobenius matrix q: the nullity of q - I."""
+    d = q.shape[0]
+    m = q - np.eye(d, dtype=np.int64)
+    # rank over GF(p) by vectorized elimination.  Only the pivot column and
+    # row are reduced mod p: any other entry takes at most d updates, each
+    # below p^2, and p^2 * d < 2^63 (checked by _Ring) keeps it exact
     rank = 0
     col = 0
     r = 0
     while r < d and col < d:
+        m[r:, col] %= p
         pivots = np.nonzero(m[r:, col])[0]
         if pivots.size == 0:
             col += 1
@@ -197,11 +260,13 @@ def _berlekamp_factor_count(f: list[int], p: int) -> int:
         pr = r + int(pivots[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
+        m[r, col:] %= p
         inv = pow(int(m[r, col]), p - 2, p)
-        m[r] = m[r] * inv % p
-        mask = np.nonzero(m[r + 1 :, col])[0]
-        if mask.size:
-            m[r + 1 + mask] = (m[r + 1 + mask] - np.outer(m[r + 1 + mask, col], m[r])) % p
+        # rows r.. are zero left of col, so only columns col.. change
+        m[r, col:] = m[r, col:] * inv % p
+        rows = r + 1 + np.nonzero(m[r + 1 :, col])[0]
+        if rows.size:
+            m[rows, col:] -= np.outer(m[rows, col], m[r, col:])
         rank += 1
         r += 1
         col += 1
@@ -212,26 +277,37 @@ def _berlekamp_factor_count(f: list[int], p: int) -> int:
 # distinct-degree / equal-degree factorization over GF(p)
 
 
-def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """[(product of irreducible factors of degree j, j)] for monic squarefree f."""
+def _ddf(f: list[int], q: np.ndarray, p: int) -> list[tuple[list[int], int]]:
+    """[(product of irreducible factors of degree j, j)] for monic squarefree f
+    of degree >= 2, given its Frobenius matrix q."""
+    ring = _Ring(f, p)
     out = []
-    h = [0, 1]
+    h = np.zeros(len(f) - 1, dtype=np.int64)
+    h[1] = 1
     rest = list(f)
     j = 0
     while len(rest) - 1 >= 2 * (j + 1):
-        j += 1
-        h = _ppowmod(h, p, rest, p)
-        hx = list(h)
-        # h - x
-        while len(hx) < 2:
-            hx.append(0)
-        hx[1] = (hx[1] - 1) % p
-        g = _pgcd(_ptrim(hx), rest, p)
-        if len(g) > 1:
-            out.append((g, j))
-            rest, r = _pdivmod(rest, g, p)
-            assert not r
-            h = _pmod(h, rest, p)
+        # h_j = x^(p^j) mod f, one linear step per degree.  A block of degrees
+        # shares one gcd of prod (h_j - x) with rest, which is 1 unless rest
+        # has a factor of a degree in the block; only then is each h_j - x
+        # taken apart.  Everything stays mod f, not mod rest: rest | f.
+        block, acc = [], [1]
+        while len(block) < _DDF_BLOCK and len(rest) - 1 >= 2 * (j + 1):
+            j += 1
+            h = h @ q % p
+            hx = h.tolist()
+            hx[1] = (hx[1] - 1) % p
+            block.append((_ptrim(hx), j))
+            acc = ring.mul(acc, block[-1][0])
+        found = _pgcd(acc, rest, p)
+        if len(found) == 1:
+            continue
+        rest = _pexactdiv(rest, found, p)
+        for hx, j_hx in block:
+            g = _pgcd(hx, found, p)
+            if len(g) > 1:
+                out.append((g, j_hx))
+                found = _pexactdiv(found, g, p)
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
     return out
@@ -242,18 +318,17 @@ def _edf(f: list[int], j: int, p: int, rng: random.Random) -> list[list[int]]:
     d = len(f) - 1
     if d == j:
         return [f]
+    ring = _Ring(f, p)
     exponent = (p ** j - 1) // 2
     while True:
         t = [rng.randrange(p) for _ in range(2 * j)] + [1]
-        w = _ppowmod(t, exponent, f, p)
-        w0 = list(w)
+        w0 = ring.pow(t, exponent)
         if not w0:
             continue
         w0[0] = (w0[0] - 1) % p
         g = _pgcd(_ptrim(w0), f, p)
         if 0 < len(g) - 1 < d:
-            q, r = _pdivmod(f, g, p)
-            assert not r
+            q = _pexactdiv(f, g, p)
             return _edf(g, j, p, rng) + _edf(q, j, p, rng)
 
 
@@ -262,10 +337,22 @@ def _edf(f: list[int], j: int, p: int, rng: random.Random) -> list[list[int]]:
 
 
 def _bmul(a: list[int], b: list[int], m: int) -> list[int]:
-    """Product of coefficient lists, reduced into [0, m)."""
+    """Product of coefficient lists with entries in [0, m), reduced into [0, m)."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    n = len(a) + len(b) - 1
+    if min(len(a), len(b)) > _KRONECKER_MIN_TERMS:
+        # evaluate both at 2^(8w), multiply once, read the coefficients back
+        # off the bytes: w bytes hold every coefficient of the product
+        bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
+        w = bits // 8 + 1
+        A, B = (
+            int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
+            for v in (a, b)
+        )
+        raw = (A * B).to_bytes(n * w, "little")
+        return _ptrim([int.from_bytes(raw[i : i + w], "little") % m for i in range(0, n * w, w)])
+    out = [0] * n
     for i, u in enumerate(a):
         if u:
             for j, v in enumerate(b):
@@ -299,9 +386,9 @@ def _bdivmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[
         t = r[k + df] % m
         q[k] = t
         if t:
-            for j in range(df + 1):
-                r[k + j] = (r[k + j] - t * b[j]) % m
-    return _ptrim(q), _ptrim(r[:df])
+            # reduced once at the end: only the leading term is read mod m
+            r[k : k + df + 1] = [u - t * v for u, v in zip(r[k : k + df + 1], b)]
+    return _ptrim(q), _ptrim([v % m for v in r[:df]])
 
 
 class _HenselNode:
@@ -341,7 +428,8 @@ def _init_bezout(node: _HenselNode, p: int) -> None:
         r0, r1 = r1, r
         s0, s1 = s1, _bsub(s0, _pmul(q, s1, p), p)
         t0, t1 = t1, _bsub(t0, _pmul(q, t1, p), p)
-    assert len(r0) == 1, "hensel factors not coprime mod p"
+    if len(r0) != 1:
+        raise ArithmeticError(f"hensel factors not coprime mod {p}")
     inv = pow(r0[0], p - 2, p)
     node.s = [v * inv % p for v in s0]
     node.t = [v * inv % p for v in t0]
@@ -400,7 +488,8 @@ def _hensel_lift(G: IntPoly, factors_p: list[list[int]], p: int, bound: int) -> 
     check = [1]
     for f in out:
         check = _bmul(check, f, modulus)
-    assert check == _ptrim([c % modulus for c in G.coeffs]), "hensel lift drifted"
+    if check != _ptrim([c % modulus for c in G.coeffs]):
+        raise ArithmeticError("hensel lift drifted")
     return out, modulus
 
 
@@ -447,21 +536,23 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
     d = G.degree
     if d == 1:
         return [G]
-    primes = _candidate_primes(G)
-    counted = []
-    for p in primes:
-        r_p = _berlekamp_factor_count(_reduce(G, p), p)
+    best = None  # (r_p, p, G mod p, its Frobenius matrix) of the fewest factors
+    for p in _candidate_primes(G):
+        fp = _reduce(G, p)  # monic, since G is
+        q = _Ring(fp, p).frobenius()
+        r_p = _berlekamp_factor_count(q, p)
         if r_p == 1:
             return [G]  # proven irreducible by a single prime
-        counted.append((r_p, p))
-    counted.sort()
-    r_best, p = counted[0]
-    fp = _pmonic(_reduce(G, p), p)
+        if best is None or r_p < best[0]:
+            best = (r_p, p, fp, q)
+        del q  # only the best prime's matrix stays alive
+    r_best, p, fp, q = best
     rng = random.Random(0xDEC0DE ^ (p * 1009) ^ d)
     mods: list[list[int]] = []
-    for part, j in _ddf(fp, p):
+    for part, j in _ddf(fp, q, p):
         mods.extend(_edf(part, j, p, rng))
-    assert len(mods) == r_best
+    if len(mods) != r_best:
+        raise ArithmeticError(f"GF({p}) split into {len(mods)} factors, Berlekamp counted {r_best}")
     mods.sort(key=lambda f: (len(f), f))
     bound = _mignotte_bound(G)
     lifted, modulus = _hensel_lift(G, mods, p, bound)
@@ -544,7 +635,8 @@ def factor(F: IntPoly) -> Factorization:
             pairs.append((irr, mult))
     pairs.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     result = Factorization(content, tuple(pairs))
-    assert result.expand() == F, "factorization failed self-check"
+    if result.expand() != F:
+        raise ArithmeticError("factorization failed self-check")
     return result
 
 
@@ -570,7 +662,8 @@ def _factor_squarefree_primitive(G: IntPoly) -> list[IntPoly]:
     prod = IntPoly.const(1, G.var)
     for f in out:
         prod = prod * f
-    assert prod == G, "monicize mapping lost a content factor"
+    if prod != G:
+        raise ArithmeticError("monicize mapping lost a content factor")
     return out
 
 

@@ -455,13 +455,19 @@ def gcd_subresultant(A: IntPoly, B: IntPoly) -> IntPoly:
             h = g ** delta // h ** (delta - 1)
 
 
+def _trim_high(a: np.ndarray) -> np.ndarray:
+    """a without its high zero coefficients (np.trim_zeros is slow on numpy 2)."""
+    nz = np.flatnonzero(a)
+    return a[: nz[-1] + 1] if nz.size else a[:0]
+
+
 def _gcd_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Monic gcd of two coefficient arrays (ascending) over GF(p)."""
-    a = np.trim_zeros(a % p, "b")
-    b = np.trim_zeros(b % p, "b")
-    while b.size:
-        if a.size < b.size:
-            a, b = b, a
+    a = _trim_high(a % p)
+    b = _trim_high(b % p)
+    if a.size < b.size:
+        a, b = b, a
+    while b.size:  # a.size >= b.size from here on
         # a mod b, in place
         inv = pow(int(b[-1]), p - 2, p)
         r = a.copy()
@@ -469,7 +475,7 @@ def _gcd_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             f = int(r[k + b.size - 1]) * inv % p
             if f:
                 r[k : k + b.size] = (r[k : k + b.size] - f * b) % p
-        a, b = b, np.trim_zeros(r[: b.size - 1], "b")
+        a, b = b, _trim_high(r[: b.size - 1])
     if not a.size:
         return a
     return a * pow(int(a[-1]), p - 2, p) % p

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 from unicrit.cli import DEFAULT_ANGLES, _build_candidate
 from unicrit.dynmaps import (
@@ -97,6 +98,7 @@ EXPECTED_LANDING_FACTOR = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_4_ray_landing_concordance():
     for text, specs in DEFAULT_ANGLES:
         cands = [_build_candidate(2, s) for s in specs]
@@ -116,6 +118,7 @@ def test_criterion_4_ray_landing_concordance():
     assert abs(mp.mpc(rep.landing) - 1j) < 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_5_norm_divisibility_sweep():
     reports = sweep_thm_1_4()  # n in {2,3,4}, all h*m <= 6
     assert sweep_verdict(reports) == "pass"
@@ -131,6 +134,7 @@ def test_criterion_5_norm_divisibility_sweep():
     assert all(r.verdict == "pass" for r in reports if r.verdict != "incomplete")
 
 
+@pytest.mark.slow
 def test_criterion_6_norm_constraint_sweep():
     reports = sweep_thm_3_1()  # n in {2,3,4}, t+h <= 6, tau | n, gleason h <= 5
     assert sweep_verdict(reports) == "pass"
@@ -173,6 +177,7 @@ def _divisors(h):
     return [d for d in range(1, h + 1) if h % d == 0]
 
 
+@pytest.mark.slow
 def test_criterion_9_exact_property_suites():
     # dynatomic product identity: prod over d | h recovers the iterate
     for n in (2, 3):

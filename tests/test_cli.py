@@ -71,6 +71,14 @@ def test_poly_parabolic_b_coordinate():
     assert doc["coeffs"] == ["5", "1"]
 
 
+def test_poly_gleason_b_coordinate_unreachable_for_n3():
+    # for n >= 3, b is reached only from bhat, never from the chat a
+    # Gleason polynomial lives in (README "Coordinates")
+    code, doc = run_json(["poly", "gleason", "--n", "3", "--h", "2", "--coord", "b"])
+    assert (code, doc["error"]["kind"]) == (2, "usage")
+    assert "no transform path" in doc["error"]["detail"]
+
+
 def test_poly_iterate_gb():
     code, doc = run_json(["poly", "iterate", "--n", "2", "--h", "3"])
     assert code == 0
@@ -337,6 +345,17 @@ def test_cache_keys_equal_for_equivalent_spellings(monkeypatch):
     a, b = _cache_keys(monkeypatch, "verify sweep thm14 --ns 2,3",
                        "verify sweep thm14 --ns 2,03 --format table")
     assert a == b
+
+
+def test_sweep_cache_keys_ignore_flags_the_claim_does_not_read(monkeypatch):
+    for plain, extra in (
+        ("verify sweep thm31 --ns 2", "--degree-cap 60"),
+        ("verify sweep thm31 --ns 2", "--r-max 3"),
+        ("verify sweep thm14 --ns 2", "--sum-max 3"),
+        ("verify sweep thm14 --ns 2", "--gleason-h-max 3"),
+    ):
+        a, b = _cache_keys(monkeypatch, plain, f"{plain} {extra}")
+        assert a == b, extra
 
 
 def test_cache_keys_differ_per_argument(monkeypatch):

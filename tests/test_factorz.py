@@ -8,14 +8,27 @@ prime (forcing the Hensel lift + recombination path to do real work).
 
 import random
 
+import numpy as np
 import pytest
 
+from unicrit import factorz
 from unicrit.factorz import (
     Factorization,
     factor,
     is_irreducible,
     norm_of_root,
+    _Ring,
+    _badd,
+    _bdivmod_monic,
+    _bmul,
+    _berlekamp_factor_count,
+    _ddf,
+    _edf,
     _norm_unchecked,
+    _pgcd,
+    _pmod,
+    _pmul,
+    _ptrim,
 )
 from unicrit.polycore import IntPoly, cyclotomic
 
@@ -183,3 +196,124 @@ def test_factor_equal_degree_split():
     f = (x ** 2 + 3) * (x ** 2 + 7)
     fac = factor(f)
     assert as_set(fac) == sorted([((3, 0, 1), 1), ((7, 0, 1), 1)])
+
+
+def test_factor_self_check_raises_without_assert(monkeypatch):
+    # the re-multiplication check must survive python -O
+    real = factorz._factor_squarefree_primitive
+    monkeypatch.setattr(factorz, "_factor_squarefree_primitive", lambda G: real(G)[1:])
+    with pytest.raises(ArithmeticError, match="self-check"):
+        factor((x ** 2 + 1) * (x - 3))
+
+
+# ---------------------------------------------------------------------------
+# GF(p) kernel against the list path: the schoolbook list products are the
+# reference, and the degrees cover both sides of the ring's numpy switch
+
+
+def _list_mulmod(a, b, f, p):
+    return _pmod(_pmul(a, b, p), f, p)
+
+
+def _list_powmod(a, e, f, p):
+    result, b = [1], _pmod(a, f, p)
+    while e:
+        if e & 1:
+            result = _list_mulmod(result, b, f, p)
+        e >>= 1
+        b = _list_mulmod(b, b, f, p)
+    return result
+
+
+def _list_frobenius(f, p):
+    d = len(f) - 1
+    xp, cur, rows = _list_powmod([0, 1], p, f, p), [1], []
+    for _ in range(d):
+        rows.append(cur + [0] * (d - len(cur)))
+        cur = _list_mulmod(cur, xp, f, p)
+    return rows
+
+
+def _list_ddf(f, p):
+    """Distinct-degree factorization recomputing x^(p^j) mod the cofactor."""
+    out, h, rest, j = [], [0, 1], list(f), 0
+    while len(rest) - 1 >= 2 * (j + 1):
+        j += 1
+        h = _list_powmod(h, p, rest, p)
+        hx = h + [0] * (2 - len(h))
+        hx[1] = (hx[1] - 1) % p
+        g = _pgcd(_ptrim(hx), rest, p)
+        if len(g) > 1:
+            out.append((g, j))
+            rest = factorz._pexactdiv(rest, g, p)
+            h = _pmod(h, rest, p)
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def _random_squarefree_monic(rng, d, p):
+    while True:
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        df = _ptrim([i * f[i] % p for i in range(1, d + 1)])
+        if _pgcd(f, df, p) == [1]:
+            return f
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 97])
+def test_frobenius_kernel_matches_list_path(p, monkeypatch):
+    rng = random.Random(p)
+    for d in (2, 3, 4, 7, 12, 16, 17, 20, 31, 48):
+        f = _random_squarefree_monic(rng, d, p)
+        ring = _Ring(f, p)
+        assert (ring.red is not None) == (d > factorz._NP_MIN_DEGREE)
+        q = ring.frobenius()
+        rows = _list_frobenius(f, p)
+        assert q.tolist() == rows, (p, d)
+        parts = _ddf(f, q, p)
+        assert parts == _list_ddf(f, p), (p, d)
+        with monkeypatch.context() as m:  # many blocks, split inside blocks
+            m.setattr(factorz, "_DDF_BLOCK", 3)
+            assert _ddf(f, q, p) == parts, (p, d)
+        rng_edf = random.Random(d)
+        irreducibles = [g for part, j in parts for g in _edf(part, j, p, rng_edf)]
+        count = _berlekamp_factor_count(q, p)
+        assert count == _berlekamp_factor_count(np.array(rows, dtype=np.int64), p)
+        assert count == len(irreducibles)
+        for _ in range(3):
+            t = [rng.randrange(p) for _ in range(rng.randint(1, 2 * d))] + [1]
+            e = rng.randrange(p ** 3)
+            assert ring.pow(t, e) == _list_powmod(t, e, f, p), (p, d, e)
+
+
+def test_ring_refuses_inexact_int64():
+    p = (1 << 32) + 15  # p^2 alone exceeds 2^63
+    with pytest.raises(OverflowError):
+        _Ring([1, 1], p)
+    _Ring([1] * 17 + [1], 10007)  # the largest prime of factoring stays exact
+
+
+def test_kronecker_product_matches_schoolbook(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for bits in (3, 61, 64, 400):
+        m = rng.getrandbits(bits) | 1
+        for la, lb in ((1, 30), (9, 9), (12, 40), (50, 33)):
+            a = [rng.randrange(m) for _ in range(la - 1)] + [m - 1]
+            b = [rng.choice((0, m - 1, rng.randrange(m))) for _ in range(lb - 1)] + [1]
+            cases.append((a, b, m))
+    fast = [_bmul(a, b, m) for a, b, m in cases]
+    monkeypatch.setattr(factorz, "_KRONECKER_MIN_TERMS", 10 ** 9)
+    assert fast == [_bmul(a, b, m) for a, b, m in cases]
+
+
+def test_monic_division_mod_m_identity():
+    rng = random.Random(6)
+    for bits in (5, 64, 700):
+        m = rng.getrandbits(bits) | 1
+        for la, lb in ((3, 5), (40, 1), (40, 17), (90, 30)):
+            a = [rng.randrange(m) for _ in range(la)]
+            b = [rng.randrange(m) for _ in range(lb - 1)] + [1]
+            q, r = _bdivmod_monic(a, b, m)
+            assert len(r) < len(b) and all(0 <= v < m for v in q + r)
+            assert _badd(_bmul(q, b, m), r, m) == _ptrim([v % m for v in a])

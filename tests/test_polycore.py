@@ -9,8 +9,10 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from unicrit.factorz import _pgcd
 from unicrit.polycore import (
     BiPoly,
     IntPoly,
@@ -31,6 +33,7 @@ from unicrit.polycore import (
     root_scale_transform,
     squarefree_part,
     _bipoly_mul_modular,
+    _gcd_mod_p,
 )
 
 
@@ -337,6 +340,21 @@ def test_gcd_fast_large_coefficients():
     got = gcd_fast(a, b)
     assert got.divides(a) and got.divides(b)
     assert g.primitive_part().divides(got)
+
+
+def test_gcd_mod_p_matches_factorz_pgcd():
+    rng = random.Random(333)
+    for p in (5, 97, 10007):
+        for _ in range(40):
+            g = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
+            a, b = ([rng.randrange(p) for _ in range(rng.randint(0, 20))] for _ in "ab")
+            a = [v % p for v in np.convolve(g, a + [1]).tolist()] if rng.random() < 0.8 else a
+            b = [v % p for v in np.convolve(g, b + [1]).tolist()] if rng.random() < 0.8 else b
+            b = b + [0] * rng.randint(0, 3)  # untrimmed high zeros
+            got = _gcd_mod_p(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+            assert got.tolist() == _pgcd(a, b, p), (p, a, b)
+    empty = np.zeros(0, dtype=np.int64)
+    assert _gcd_mod_p(empty, np.zeros(3, dtype=np.int64), 7).tolist() == _pgcd([], [0, 0, 0], 7) == []
 
 
 def test_squarefree_part_table():
