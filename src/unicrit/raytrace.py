@@ -14,8 +14,11 @@ perturbation of relative size exp(-(n-1) tau) / n^K, which decays to
 nothing as t -> 0, so landing extrapolation is unaffected by the
 truncation.
 
-Everything here is floating point (mpmath, configurable precision);
-the symbolic candidates it is matched against are exact.
+Everything here is approximate at one configurable precision: Newton
+updates, targets and extrapolation run in mpmath floating point, and the
+orbit f_c^K(c) with its c-derivative runs in fixed-point Python integers
+with _GUARD_BITS bits below that precision (see _orbit).  The symbolic
+candidates the landings are matched against are exact.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .dynmaps import ParamPolynomial
 from .factorz import factor
@@ -51,6 +55,10 @@ TAU_ESCAPE = 6.0
 _NEWTON_MAX_ITERS = 60
 _MAX_STEP_HALVINGS = 10
 _CONTINUITY_FACTOR = 10.0
+# bits carried below the working precision by the fixed-point orbit kernel
+_GUARD_BITS = 32
+# below double precision the Newton tolerances and step floor lose meaning
+_MIN_PRECISION_BITS = 53
 
 
 class RayTraceError(Exception):
@@ -158,11 +166,13 @@ class RayPath:
 
 
 def _real_str(x, bits: int) -> str:
-    return mp.nstr(mp.mpf(x), max(int(bits * 0.3013) + 2, 8))
+    with mp.workprec(bits):
+        return mp.nstr(mp.mpf(x), max(int(bits * 0.3013) + 2, 8))
 
 
 def _complex_json(z, bits: int) -> dict:
-    z = mp.mpc(z)
+    with mp.workprec(bits):
+        z = mp.mpc(z)
     return {
         "re": _real_str(z.real, bits),
         "im": _real_str(z.imag, bits),
@@ -185,6 +195,53 @@ def _ray_target(n: int, angle: Angle, t, K: int):
     return mp.exp(mp.mpc(re, im))
 
 
+def _orbit(n: int, c, K: int, bits: int):
+    """(f_c^K(c), d/dc f_c^K(c)) for z -> z^n + c, as mpc values.
+
+    The loop runs on Python integers scaled by 2^F, F = bits + _GUARD_BITS,
+    and rounds each product by one floor shift, so a step costs a few
+    big-integer multiplications instead of mpmath's per-operation
+    normalisation.  The rounding error is absolute (2^-F per operation);
+    the guard bits absorb its amplification along the orbit, which is the
+    same amplification a floating-point orbit suffers.  An orbit that
+    leaves radius 2^F is finished in closed form, z_K = z_k^(n^(K-k)),
+    because c and the derivative's +1 are then below working precision.
+    """
+    F = bits + _GUARD_BITS
+    F1 = F - 1  # shift for a product doubled, as in 2xy and 2 z dz
+    one = 1 << F
+    lim = 1 << (2 * F)  # |z| = 2^F in fixed point
+    cr, ci = to_fixed(c.real._mpf_, F), to_fixed(c.imag._mpf_, F)
+    zr, zi, dr, di = cr, ci, one, 0
+    for k in range(K):
+        if not (-lim < zr < lim and -lim < zi < lim):
+            # z_K = z_k^N and dz_K = N z_k^(N-1) dz_k, with N = n^(K-k)
+            N = n ** (K - k)
+            with mp.workprec(F + N.bit_length()):
+                z = _from_fixed(zr, zi, F, F)
+                z_K = z ** N
+                dz_K = N * z_K / z * _from_fixed(dr, di, F, F)
+            with mp.workprec(bits):
+                return +z_K, +dz_K
+        if n == 2:
+            # z^2 = (x + y)(x - y) + 2xy i, and dz <- 2 z dz + 1
+            dr, di = ((zr * dr - zi * di) >> F1) + one, (zr * di + zi * dr) >> F1
+            zr, zi = (((zr + zi) * (zr - zi)) >> F) + cr, ((zr * zi) >> F1) + ci
+        else:
+            wr, wi = zr, zi  # w = z^(n-1)
+            for _ in range(n - 2):
+                wr, wi = (wr * zr - wi * zi) >> F, (wr * zi + wi * zr) >> F
+            dr, di = (n * ((wr * dr - wi * di) >> F) + one,
+                      n * ((wr * di + wi * dr) >> F))
+            zr, zi = ((wr * zr - wi * zi) >> F) + cr, ((wr * zi + wi * zr) >> F) + ci
+    return _from_fixed(zr, zi, F, bits), _from_fixed(dr, di, F, bits)
+
+
+def _from_fixed(re: int, im: int, F: int, bits: int):
+    return mp.make_mpc((from_man_exp(re, -F, bits, round_nearest),
+                        from_man_exp(im, -F, bits, round_nearest)))
+
+
 def _solve_ray_point(n: int, angle: Angle, t, c0, bits: int,
                      tau: float = TAU_ESCAPE):
     """Newton-solve f_c^K(c) = exp(n^K (t + 2 pi i angle)) starting at c0."""
@@ -195,10 +252,7 @@ def _solve_ray_point(n: int, angle: Angle, t, c0, bits: int,
     c = mp.mpc(c0) if c0 is not None else target
     best_c, best_f = c, mp.inf
     for _ in range(_NEWTON_MAX_ITERS):
-        z, dz = c, mp.mpc(1)
-        for _ in range(K):
-            dz = n * z ** (n - 1) * dz + 1
-            z = z ** n + c
+        z, dz = _orbit(n, c, K, bits)
         f = abs(z - target)
         if f < best_f:
             best_c, best_f = c, f
@@ -278,6 +332,10 @@ def trace_param_ray(
         raise ValueError("n must be >= 2")
     if not potential_start > potential_end > 0:
         raise ValueError("need potential_start > potential_end > 0")
+    if steps_per_halving < 1:
+        raise ValueError("steps_per_halving must be >= 1")
+    if precision_bits < _MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be >= {_MIN_PRECISION_BITS}")
     with mp.workprec(precision_bits):
         start = mp.mpf(potential_start)
         end = mp.mpf(potential_end)

@@ -256,6 +256,26 @@ def test_ray_land_candidate_spec_errors():
     assert (code, doc["error"]["kind"]) == (2, "usage")
 
 
+@pytest.mark.parametrize("extra", [
+    ["--steps-per-halving", "0"],   # was an uncaught ZeroDivisionError
+    ["--steps-per-halving", "-3"],  # potentials grew until a ContinuityError
+    ["--precision-bits", "0", "--potential-end", "1"],  # ran without end
+])
+def test_ray_trace_bad_schedule_or_precision_is_usage(extra):
+    code, doc = run_json(["ray", "trace", "--n", "2", "--angle", "1/3"] + extra)
+    assert (code, doc["error"]["kind"]) == (2, "usage")
+
+
+def test_ray_trace_newton_divergence_is_numeric():
+    code, doc = run_json(["ray", "trace", "--n", "2", "--angle", "1/4",
+                          "--precision-bits", "53", "--potential-end", "1e-14"])
+    assert (code, doc["error"]["kind"]) == (1, "numeric")
+    assert doc["error"]["detail"] == (
+        "ray 1/4 (n=2): Newton diverged at potential 2.1073424e-8 after 10 "
+        "step halvings"
+    )
+
+
 def test_ray_angles_defaults():
     code, doc = run_json(["ray", "angles"])
     assert code == 0

@@ -6,9 +6,14 @@ import pytest
 from unicrit.dynmaps import misiurewicz_poly, parabolic_param_poly
 from unicrit.polycore import IntPoly
 from unicrit.raytrace import (
+    _GUARD_BITS,
+    _TAU_POLISH,
     Angle,
+    PrecisionExhaustedError,
     RayPath,
     _candidate_poly,
+    _orbit,
+    _solve_ray_point,
     angle_orbit,
     complex_roots,
     land_and_match,
@@ -123,6 +128,15 @@ def test_trace_argument_validation():
         trace_param_ray(1, Angle(1, 3))
     with pytest.raises(ValueError):
         trace_param_ray(2, Angle(1, 3), potential_start=1e-8, potential_end=32.0)
+    # zero divided the potential ratio; negative steps grew the potential
+    # until a ContinuityError; zero bits ran without end
+    for kwargs in ({"steps_per_halving": 0}, {"steps_per_halving": -3},
+                   {"precision_bits": 0, "potential_end": 1.0},
+                   {"precision_bits": 52}):
+        with pytest.raises(ValueError):
+            trace_param_ray(2, Angle(1, 3), **kwargs)
+    with pytest.raises(ValueError, match="precision_bits"):
+        land_and_match(2, Angle(1, 2), [IntPoly((2, 1), "c")], precision_bits=0)
 
 
 def test_ray_path_rejects_nondecreasing_potentials():
@@ -142,6 +156,108 @@ def test_ray_path_json(zero_ray):
     assert set(first["c"]) == {"re", "im", "bits"}
     assert isinstance(first["potential"], str)
     assert float(first["c"]["im"]) == 0.0
+
+
+def test_ray_path_json_carries_declared_precision(zero_ray):
+    # every decimal string must parse back to the stored 256-bit value, not
+    # to its nearest double
+    bits = zero_ray.precision_bits
+    doc = zero_ray.to_json()
+    with mp.workprec(bits):
+        tol = mp.mpf(2) ** -(bits - 8)
+        for (t, c), row in zip(zero_ray.points, doc["points"]):
+            c = mp.mpc(c)
+            for value, text in ((t, row["potential"]), (c.real, row["c"]["re"]),
+                                (c.imag, row["c"]["im"])):
+                assert abs(mp.mpf(text) - value) <= tol * abs(value)
+
+
+# ---------------------------------------------------------------- orbit kernel
+
+def _mpc_orbit(n, c, K):
+    """The mpc loop the integer kernel replaced, at the ambient precision."""
+    z, dz = c, mp.mpc(1)
+    for _ in range(K):
+        dz = n * z ** (n - 1) * dz + 1
+        z = z ** n + c
+    return z, dz
+
+
+# c outward from the cusp of the main component of z^n + c (1/4, -0.3849
+# and -0.2362 - 0.4091i for n = 2, 3, 4), placed so the K-th iterate lands
+# between e^_TAU_POLISH and e^(n _TAU_POLISH); at K = 40 the orbit gets
+# there only after a slow parabolic passage near the cusp
+_POLISH_C = {
+    (2, 7): mp.mpc("0.75"),
+    (2, 40): mp.mpc("0.2568359375"),
+    (3, 7): mp.mpc("-0.57735"),
+    (3, 40): mp.mpc("-0.388659"),
+    (4, 7): mp.mpc("-0.295294", "-0.511464"),
+    (4, 40): mp.mpc("-0.237562", "-0.411469"),
+}
+
+
+def _kernel_cases(n, K):
+    # bounded orbit with negative parts (>> floors toward -infinity), a fast
+    # escape that reaches the polish radius within 1 or 7 steps, and the
+    # slow escapes above
+    yield mp.mpc("-0.2", "-0.3"), False
+    if K in (1, 7):
+        yield mp.mpc("-6000", "-7000") if K == 1 else mp.mpc("-3", "-4"), True
+    if (n, K) in _POLISH_C:
+        yield _POLISH_C[n, K], True
+
+
+def _rel_err(x, ref):
+    return abs(x - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("K", [0, 1, 7, 40])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_kernel_matches_mpc_loop(n, K, bits):
+    for c, escapes in _kernel_cases(n, K):
+        with mp.workprec(bits):
+            c = +c
+            z, dz = _orbit(n, c, K, bits)
+        # the reference runs far above the kernel's precision, so what is
+        # compared is the kernel's own rounding
+        with mp.workprec(4 * bits + 400):
+            z_ref, dz_ref = _mpc_orbit(n, c, K)
+            if escapes:
+                assert abs(z_ref) >= mp.exp(_TAU_POLISH)
+            tol = mp.mpf(2) ** -(bits - 8)
+            assert _rel_err(z, z_ref) <= tol, (n, K, bits, c)
+            assert _rel_err(dz, dz_ref) <= tol, (n, K, bits, c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_kernel_fast_escape_no_worse_than_mpc_loop(n):
+    # an orbit that escapes at once and is raised to the n-th power 40 more
+    # times amplifies the first rounding by n^40, beyond any fixed working
+    # precision (the old loop's result has no correct bit for n = 3, 4).
+    # The kernel leaves radius 2^(bits + 32) within a few steps, finishes in
+    # closed form, and keeps the error of its guard bits.
+    bits, K, c = 53, 40, mp.mpc("-3", "-4")
+    with mp.workprec(bits):
+        z, dz = _orbit(n, c, K, bits)
+        z_old, dz_old = _mpc_orbit(n, c, K)
+    with mp.workprec(4 * bits + 400):
+        z_ref, dz_ref = _mpc_orbit(n, c, K)
+        bound = mp.mpf(n) ** K * mp.mpf(2) ** -(bits + _GUARD_BITS)
+        for x, x_old, ref in ((z, z_old, z_ref), (dz, dz_old, dz_ref)):
+            assert _rel_err(x, ref) <= min(bound, _rel_err(x_old, ref))
+
+
+def test_solve_ray_point_reports_precision_exhaustion():
+    # the 1/2 ray lands on the Misiurewicz point -2, where |dz| grows like
+    # 4^K; at potential 1e-14 a 128-bit c cannot bring the residual under
+    # tol * 2^24, yet Newton stalls far inside the divergence bound
+    path = trace_param_ray(2, Angle(1, 2), potential_end=1e-14)
+    t, c = path.points[-1]
+    with mp.workprec(128):
+        with pytest.raises(PrecisionExhaustedError, match="with 128 bits"):
+            _solve_ray_point(2, Angle(1, 2), t, c, 128)
 
 
 # ---------------------------------------------------------------- roots
