@@ -6,18 +6,21 @@ run through the module: c for the form z^n + c, b for the conjugate form
 bhat = b^(n-1) = n^n * chat, which is where the parameter polynomials
 naturally live.
 
-Construction functions are pure and deterministic.  Results are memoized
-in module-level tables; a racing double construction writes identical
-values, so concurrent use is safe.
+Construction functions are pure and deterministic.  Each private builder
+is memoized by functools.lru_cache, bounded at polycore._MEMO_SIZE entries
+and evicting the least recently used; the caches are thread-safe, and a
+racing double construction computes identical values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .polycore import (
+    _MEMO_SIZE,
     BiPoly,
     IntPoly,
     cyclotomic,
@@ -152,22 +155,6 @@ class ParamPolynomial:
         return cls(poly_from_json(obj), obj["coordinate"], obj["n"], obj["provenance"])
 
 
-# ---------------------------------------------------------------------------
-# memo tables (values immutable, writes idempotent)
-
-_ITERATE_FC: dict = {}
-_ITERATE_GB: dict = {}
-_ORBIT: dict = {}
-_CRITICAL_VALUE: dict = {}
-_DYNATOMIC: dict = {}
-_MULTIPLIER: dict = {}
-_MULT_RES: dict = {}
-_GLEASON: dict = {}
-_MIS_RAW: dict = {}
-_MISIUREWICZ: dict = {}
-_PARABOLIC: dict = {}
-
-
 def _divisors(h: int) -> list[int]:
     return [d for d in range(1, h + 1) if h % d == 0]
 
@@ -176,15 +163,11 @@ def _divisors(h: int) -> list[int]:
 # iterates
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _iterate_fc(n: int, k: int) -> BiPoly:
-    got = _ITERATE_FC.get((n, k))
-    if got is None:
-        if k == 1:
-            got = BiPoly(((0,) * n + (1,), (1,)), "c", "z")  # z^n + c
-        else:
-            got = _iterate_fc(n, k - 1) ** n + BiPoly.gen("c", "c", "z")
-        _ITERATE_FC[(n, k)] = got
-    return got
+    if k == 1:
+        return BiPoly(((0,) * n + (1,), (1,)), "c", "z")  # z^n + c
+    return _iterate_fc(n, k - 1) ** n + BiPoly.gen("c", "c", "z")
 
 
 def iterate_map(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> BiPoly:
@@ -195,17 +178,12 @@ def iterate_map(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> BiPoly:
     return _iterate_fc(n, k)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _iterate_gb(n: int, k: int) -> tuple[BiPoly, int]:
-    got = _ITERATE_GB.get((n, k))
-    if got is None:
-        if k == 1:
-            got = (BiPoly(((0,) * n + (1,), (1,)), "b", "w"), n)  # w^n + b
-        else:
-            prev, nk = _iterate_gb(n, k - 1)
-            poly = prev ** n + BiPoly.gen("b", "b", "w") * nk ** n
-            got = (poly, n * nk ** n)
-        _ITERATE_GB[(n, k)] = got
-    return got
+    if k == 1:
+        return BiPoly(((0,) * n + (1,), (1,)), "b", "w"), n  # w^n + b
+    prev, nk = _iterate_gb(n, k - 1)
+    return prev ** n + BiPoly.gen("b", "b", "w") * nk ** n, n * nk ** n
 
 
 def iterate_poly_gb(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> IteratePair:
@@ -227,15 +205,11 @@ def periodicity_poly(n: int, h: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> Bi
     return pair.poly - BiPoly.gen("w", "b", "w") * pair.denom
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _orbit(n: int, k: int) -> IntPoly:
-    got = _ORBIT.get((n, k))
-    if got is None:
-        if k == 1:
-            got = IntPoly((1,), "chat")
-        else:
-            got = IntPoly.gen("chat") * _orbit(n, k - 1) ** n + 1
-        _ORBIT[(n, k)] = got
-    return got
+    if k == 1:
+        return IntPoly((1,), "chat")
+    return IntPoly.gen("chat") * _orbit(n, k - 1) ** n + 1
 
 
 def critical_orbit_poly(
@@ -251,16 +225,12 @@ def critical_orbit_poly(
     return CriticalOrbitPoly(_orbit(n, k), k, n)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _critical_value(n: int, k: int) -> IntPoly:
     # f^k(0) as a polynomial in c: a_1 = c, a_{j+1} = a_j^n + c
-    got = _CRITICAL_VALUE.get((n, k))
-    if got is None:
-        if k == 1:
-            got = IntPoly.gen("c")
-        else:
-            got = _critical_value(n, k - 1) ** n + IntPoly.gen("c")
-        _CRITICAL_VALUE[(n, k)] = got
-    return got
+    if k == 1:
+        return IntPoly.gen("c")
+    return _critical_value(n, k - 1) ** n + IntPoly.gen("c")
 
 
 def critical_value_poly(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> IntPoly:
@@ -275,11 +245,8 @@ def critical_value_poly(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) ->
 # dynatomic polynomials
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _dynatomic(n: int, h: int, form: str) -> BiPoly:
-    got = _DYNATOMIC.get((n, h, form))
-    if got is not None:
-        return got
-
     def term(d: int) -> BiPoly:
         if form == "f_c":
             return _iterate_fc(n, d) - BiPoly.gen("z", "c", "z")
@@ -293,7 +260,6 @@ def _dynatomic(n: int, h: int, form: str) -> BiPoly:
         num = num * term(d)
     for d in sorted(minus, reverse=True):
         num = num.divexact(term(d))  # exact by construction; raises otherwise
-    _DYNATOMIC[(n, h, form)] = num
     return num
 
 
@@ -317,15 +283,12 @@ def dynatomic(
 # multipliers
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _multiplier(n: int, h: int) -> BiPoly:
-    got = _MULTIPLIER.get((n, h))
-    if got is None:
-        prod = BiPoly.gen("z", "c", "z")
-        for i in range(1, h):
-            prod = prod * _iterate_fc(n, i)
-        got = prod ** (n - 1) * n ** h
-        _MULTIPLIER[(n, h)] = got
-    return got
+    prod = BiPoly.gen("z", "c", "z")
+    for i in range(1, h):
+        prod = prod * _iterate_fc(n, i)
+    return prod ** (n - 1) * n ** h
 
 
 def multiplier_poly(n: int, h: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> BiPoly:
@@ -353,9 +316,11 @@ def multiplier_resultant(
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
     _check_cap(n ** h, degree_cap)
-    got = _MULT_RES.get((n, h))
-    if got is not None:
-        return got
+    return _multiplier_resultant(n, h)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _multiplier_resultant(n: int, h: int) -> BiPoly:
     phi = _dynatomic(n, h, "f_c")
     W = _multiplier(n, h)
     dmu = phi.degree("z")
@@ -378,9 +343,7 @@ def multiplier_resultant(
         _newton_interpolate_fractions(pts, [v.coeff(j) for v in vals], "c")
         for j in range(dmu + 1)
     ]
-    got = BiPoly.from_univariate(cols, var="mu", outer="c", inner="mu")
-    _MULT_RES[(n, h)] = got
-    return got
+    return BiPoly.from_univariate(cols, var="mu", outer="c", inner="mu")
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +426,13 @@ def _strip_factors(D: IntPoly, lower: IntPoly) -> IntPoly:
     return D
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _gleason(n: int, h: int, chat_form: bool) -> IntPoly:
-    got = _GLEASON.get((n, h, chat_form))
-    if got is None:
-        build = _orbit if chat_form else _critical_value
-        D = build(n, h)
-        for h2 in _divisors(h)[:-1]:
-            D = _strip_factors(D, build(n, h2))
-        got = D.primitive_part()
-        _GLEASON[(n, h, chat_form)] = got
-    return got
+    build = _orbit if chat_form else _critical_value
+    D = build(n, h)
+    for h2 in _divisors(h)[:-1]:
+        D = _strip_factors(D, build(n, h2))
+    return D.primitive_part()
 
 
 def gleason_poly(
@@ -503,33 +463,27 @@ def gleason_poly(
     return base if coordinate == "chat" else coord_transform(base, coordinate)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _misiurewicz_raw(n: int, t: int, h: int, tau: int) -> IntPoly:
-    got = _MIS_RAW.get((n, t, h, tau))
-    if got is None:
-        psi = cyclotomic(tau)
-        d = psi.degree
-        A = _orbit(n, t + h)
-        B = _orbit(n, t)
-        S = IntPoly.zero("chat")
-        for i in range(d + 1):
-            if psi.coeff(i):
-                S = S + A ** i * B ** (d - i) * psi.coeff(i)
-        _MIS_RAW[(n, t, h, tau)] = S
-        got = S
-    return got
+    psi = cyclotomic(tau)
+    d = psi.degree
+    A = _orbit(n, t + h)
+    B = _orbit(n, t)
+    S = IntPoly.zero("chat")
+    for i in range(d + 1):
+        if psi.coeff(i):
+            S = S + A ** i * B ** (d - i) * psi.coeff(i)
+    return S
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _misiurewicz(n: int, t: int, h: int, tau: int) -> IntPoly:
-    got = _MISIUREWICZ.get((n, t, h, tau))
-    if got is None:
-        D = _misiurewicz_raw(n, t, h, tau)
-        for t2 in range(1, t + 1):
-            for h2 in _divisors(h):
-                if (t2, h2) != (t, h):
-                    D = _strip_factors(D, _misiurewicz_raw(n, t2, h2, tau))
-        got = squarefree_part(D)
-        _MISIUREWICZ[(n, t, h, tau)] = got
-    return got
+    D = _misiurewicz_raw(n, t, h, tau)
+    for t2 in range(1, t + 1):
+        for h2 in _divisors(h):
+            if (t2, h2) != (t, h):
+                D = _strip_factors(D, _misiurewicz_raw(n, t2, h2, tau))
+    return squarefree_part(D)
 
 
 def misiurewicz_poly(
@@ -567,19 +521,15 @@ def misiurewicz_poly(
     return pp if coordinate == "chat" else coord_transform(pp, coordinate)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _parabolic(n: int, h: int, m: int) -> IntPoly:
-    got = _PARABOLIC.get((n, h, m))
-    if got is None:
-        phi = _dynatomic(n, h, "f_c")
-        W = _multiplier(n, h)
-        psi = cyclotomic(m)
-        B = BiPoly.const(psi.coeff(psi.degree), "c", "z")
-        for i in range(psi.degree - 1, -1, -1):
-            B = B * W + psi.coeff(i)
-        E = resultant(phi, B, eliminate="z")
-        got = squarefree_part(E)
-        _PARABOLIC[(n, h, m)] = got
-    return got
+    phi = _dynatomic(n, h, "f_c")
+    W = _multiplier(n, h)
+    psi = cyclotomic(m)
+    B = BiPoly.const(psi.coeff(psi.degree), "c", "z")
+    for i in range(psi.degree - 1, -1, -1):
+        B = B * W + psi.coeff(i)
+    return squarefree_part(resultant(phi, B, eliminate="z"))
 
 
 def parabolic_param_poly(

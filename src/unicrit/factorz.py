@@ -7,9 +7,11 @@ distinct/equal-degree factorization over GF(p), quadratic Hensel lifting
 along a factor tree, and subset recombination against a rigorous factor
 coefficient bound.  Output order is deterministic: (degree, coefficients).
 
-Arithmetic in GF(p)[x]/(f) goes through one kernel, _Ring, built once per
-(f, p): numpy int64 convolution plus a precomputed reduction matrix above a
-small degree, plain lists below it.  Each candidate prime's Frobenius matrix
+Coefficient-list arithmetic over GF(p) and Z/m (products, division, gcd,
+symmetric lift) comes from polycore's modular kernel.  Arithmetic in
+GF(p)[x]/(f) goes through one ring, _Ring, built once per (f, p): numpy
+int64 convolution plus a precomputed reduction matrix above a small degree,
+the kernel's list helpers below it.  Each candidate prime's Frobenius matrix
 Q (rows x^(ip) mod f) is built once; its nullity is Berlekamp's factor
 count, and the best prime's Q then drives distinct-degree factorization as
 the linear map h -> h^p.  Hensel products use Kronecker substitution.
@@ -28,17 +30,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polycore import IntPoly, _is_prime, gcd_fast, poly_from_json, poly_to_json
+from .polycore import (
+    IntPoly,
+    _badd,
+    _bdivmod_monic,
+    _bmul,
+    _bsub,
+    _gf_divmod,
+    _gf_exactdiv,
+    _gf_gcd,
+    _is_prime,
+    _residues,
+    _strip,
+    _symmetric,
+    gcd_fast,
+    poly_from_json,
+    poly_to_json,
+)
 
 # Above this degree a product in GF(p)[x]/(f) is one numpy convolution plus
 # one matrix-vector reduction; at or below it numpy's per-call overhead costs
 # more than the list loops.  Factoring the thm31 sweep's inputs with this
 # switch at 4 ... 32 was fastest at 12 and 16.
 _NP_MIN_DEGREE = 16
-# Above this many terms (of the shorter factor) a product over Z/m is one
-# big-integer multiplication (Kronecker substitution) instead of schoolbook.
-# Measured crossover: ~10 terms at 60-bit moduli, ~24 at 600-bit ones.
-_KRONECKER_MIN_TERMS = 16
 # Degrees that share one gcd in distinct-degree factorization: a gcd costs
 # O(d^2) list steps, the product that merges one more degree into it one
 # ring product.  Blocks of 4 ... 32 timed alike on the thm31 sweep's inputs.
@@ -78,92 +92,6 @@ class Factorization:
         )
 
 
-# ---------------------------------------------------------------------------
-# GF(p) polynomial helpers; coefficient lists ascending, normalized (no top 0)
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return _ptrim([v % p for v in out])
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod f with f monic."""
-    if len(a) < len(f):
-        return list(a)
-    r = list(a)
-    df = len(f) - 1
-    for k in range(len(a) - len(f), -1, -1):
-        t = r[k + df]
-        if t:
-            for j in range(df):
-                r[k + j] = (r[k + j] - t * f[j]) % p
-            r[k + df] = 0
-    return _ptrim(r[:df])
-
-
-def _pmonic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [v * inv % p for v in a]
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        df = len(b) - 1
-        for k in range(len(a) - len(b), -1, -1):
-            t = a[k + df] * inv % p
-            if t:
-                for j in range(df + 1):
-                    a[k + j] = (a[k + j] - t * b[j]) % p
-        a, b = b, _ptrim(a[:df])
-    return _pmonic(a, p)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if len(a) < len(b):
-        return [], list(a)
-    inv = pow(b[-1], p - 2, p)
-    r = list(a)
-    df = len(b) - 1
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        t = r[k + df] * inv % p
-        q[k] = t
-        if t:
-            for j in range(df + 1):
-                r[k + j] = (r[k + j] - t * b[j]) % p
-    return _ptrim(q), _ptrim(r[:df])
-
-
-def _pexactdiv(a: list[int], b: list[int], p: int) -> list[int]:
-    q, r = _pdivmod(a, b, p)
-    if r:
-        raise ArithmeticError(f"GF({p}) division left a remainder of degree {len(r) - 1}")
-    return q
-
-
-def _reduce(poly: IntPoly, p: int) -> list[int]:
-    return _ptrim([c % p for c in poly.coeffs])
-
-
 class _Ring:
     """GF(p)[x]/(f) for monic f of degree d >= 1.
 
@@ -171,8 +99,8 @@ class _Ring:
     vector of length d, and a product is a convolution whose top d - 1
     coefficients are folded back by the precomputed rows x^d .. x^(2d-2)
     mod f.  At or below it, elements are coefficient lists and products use
-    the list helpers above.  Every int64 sum has at most d terms below p^2,
-    so p^2 * d < 2^63 keeps it exact.
+    the list helpers of polycore's modular kernel.  Every int64 sum has at
+    most d terms below p^2, so p^2 * d < 2^63 keeps it exact.
     """
 
     def __init__(self, f: list[int], p: int):
@@ -191,7 +119,7 @@ class _Ring:
             self.red = red
 
     def _vec(self, a: list[int]):
-        a = _pmod(a, self.f, self.p)
+        a = _bdivmod_monic(a, self.f, self.p)[1]
         if self.red is None:
             return a
         v = np.zeros(self.d, dtype=np.int64)
@@ -200,7 +128,7 @@ class _Ring:
 
     def _mul(self, u, v):
         if self.red is None:
-            return _pmod(_pmul(u, v, self.p), self.f, self.p)
+            return _bdivmod_monic(_bmul(u, v, self.p), self.f, self.p)[1]
         c = np.convolve(u, v) % self.p
         return (c[: self.d] + c[self.d :] @ self.red) % self.p
 
@@ -215,7 +143,7 @@ class _Ring:
         return result
 
     def _list(self, v) -> list[int]:
-        return v if self.red is None else _ptrim(v.tolist())
+        return v if self.red is None else _strip(v.tolist())
 
     def mul(self, a: list[int], b: list[int]) -> list[int]:
         """a * b mod f."""
@@ -297,17 +225,17 @@ def _ddf(f: list[int], q: np.ndarray, p: int) -> list[tuple[list[int], int]]:
             h = h @ q % p
             hx = h.tolist()
             hx[1] = (hx[1] - 1) % p
-            block.append((_ptrim(hx), j))
+            block.append((_strip(hx), j))
             acc = ring.mul(acc, block[-1][0])
-        found = _pgcd(acc, rest, p)
+        found = _gf_gcd(acc, rest, p)
         if len(found) == 1:
             continue
-        rest = _pexactdiv(rest, found, p)
+        rest = _gf_exactdiv(rest, found, p)
         for hx, j_hx in block:
-            g = _pgcd(hx, found, p)
+            g = _gf_gcd(hx, found, p)
             if len(g) > 1:
                 out.append((g, j_hx))
-                found = _pexactdiv(found, g, p)
+                found = _gf_exactdiv(found, g, p)
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
     return out
@@ -326,69 +254,14 @@ def _edf(f: list[int], j: int, p: int, rng: random.Random) -> list[list[int]]:
         if not w0:
             continue
         w0[0] = (w0[0] - 1) % p
-        g = _pgcd(_ptrim(w0), f, p)
+        g = _gf_gcd(w0, f, p)
         if 0 < len(g) - 1 < d:
-            q = _pexactdiv(f, g, p)
+            q = _gf_exactdiv(f, g, p)
             return _edf(g, j, p, rng) + _edf(q, j, p, rng)
 
 
 # ---------------------------------------------------------------------------
 # Hensel lifting (quadratic, factor tree)
-
-
-def _bmul(a: list[int], b: list[int], m: int) -> list[int]:
-    """Product of coefficient lists with entries in [0, m), reduced into [0, m)."""
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
-    if min(len(a), len(b)) > _KRONECKER_MIN_TERMS:
-        # evaluate both at 2^(8w), multiply once, read the coefficients back
-        # off the bytes: w bytes hold every coefficient of the product
-        bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-        w = bits // 8 + 1
-        A, B = (
-            int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
-            for v in (a, b)
-        )
-        raw = (A * B).to_bytes(n * w, "little")
-        return _ptrim([int.from_bytes(raw[i : i + w], "little") % m for i in range(0, n * w, w)])
-    out = [0] * n
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return _ptrim([v % m for v in out])
-
-
-def _badd(a: list[int], b: list[int], m: int) -> list[int]:
-    out = list(a) if len(a) >= len(b) else list(b)
-    small = b if len(a) >= len(b) else a
-    for i, v in enumerate(small):
-        out[i] = (out[i] + v) % m
-    return _ptrim([v % m for v in out])
-
-
-def _bsub(a: list[int], b: list[int], m: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % m
-    return _ptrim(out)
-
-
-def _bdivmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division by monic b with coefficients mod m."""
-    if len(a) < len(b):
-        return [], list(a)
-    r = list(a)
-    df = len(b) - 1
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        t = r[k + df] % m
-        q[k] = t
-        if t:
-            # reduced once at the end: only the leading term is read mod m
-            r[k : k + df + 1] = [u - t * v for u, v in zip(r[k : k + df + 1], b)]
-    return _ptrim(q), _ptrim([v % m for v in r[:df]])
 
 
 class _HenselNode:
@@ -408,7 +281,7 @@ def _build_tree(factors: list[list[int]], p: int) -> _HenselNode:
         nxt = []
         for i in range(0, len(nodes) - 1, 2):
             l, r = nodes[i], nodes[i + 1]
-            nxt.append(_HenselNode(_pmul(l.poly, r.poly, p), l, r))
+            nxt.append(_HenselNode(_bmul(l.poly, r.poly, p), l, r))
         if len(nodes) % 2:
             nxt.append(nodes[-1])
         nodes = nxt
@@ -424,10 +297,10 @@ def _init_bezout(node: _HenselNode, p: int) -> None:
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _pdivmod(r0, r1, p)
+        q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _bsub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _bsub(t0, _pmul(q, t1, p), p)
+        s0, s1 = s1, _bsub(s0, _bmul(q, s1, p), p)
+        t0, t1 = t1, _bsub(t0, _bmul(q, t1, p), p)
     if len(r0) != 1:
         raise ArithmeticError(f"hensel factors not coprime mod {p}")
     inv = pow(r0[0], p - 2, p)
@@ -469,12 +342,9 @@ def _hensel_lift(G: IntPoly, factors_p: list[list[int]], p: int, bound: int) -> 
     modulus = p
     root = _build_tree(factors_p, p)
     _init_bezout(root, p)
-    f_mod = [c % modulus for c in G.coeffs]
     while modulus <= 2 * bound:
-        m2 = modulus * modulus
-        f_mod = [c % m2 for c in G.coeffs]
-        _lift_tree(root, _ptrim(list(f_mod)), modulus)
-        modulus = m2
+        _lift_tree(root, _residues(G.coeffs, modulus * modulus), modulus)
+        modulus *= modulus
     out = []
 
     def collect(node):
@@ -488,7 +358,7 @@ def _hensel_lift(G: IntPoly, factors_p: list[list[int]], p: int, bound: int) -> 
     check = [1]
     for f in out:
         check = _bmul(check, f, modulus)
-    if check != _ptrim([c % modulus for c in G.coeffs]):
+    if check != _residues(G.coeffs, modulus):
         raise ArithmeticError("hensel lift drifted")
     return out, modulus
 
@@ -504,11 +374,6 @@ def _mignotte_bound(G: IntPoly) -> int:
     return (math.isqrt(n + 1) + 1) * (1 << n) * norm + 1
 
 
-def _symmetric_list(a: list[int], m: int) -> list[int]:
-    half = m >> 1
-    return [v - m if v > half else v for v in a]
-
-
 def _candidate_primes(G: IntPoly, how_many: int = 8) -> list[int]:
     """Odd primes >= 5 of good reduction: lc survives, image squarefree."""
     out = []
@@ -520,12 +385,10 @@ def _candidate_primes(G: IntPoly, how_many: int = 8) -> list[int]:
             continue
         if G.lc % p == 0:
             continue
-        fp = _reduce(G, p)
-        dfp = _reduce(gp, p)
+        fp = _residues(G.coeffs, p)
         if len(fp) - 1 != G.degree:
             continue
-        g = _pgcd(fp, dfp, p)
-        if len(g) == 1:
+        if len(_gf_gcd(fp, gp.coeffs, p)) == 1:
             out.append(p)
     if not out:
         raise ArithmeticError("no prime of good reduction found below 10000")
@@ -538,7 +401,7 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
         return [G]
     best = None  # (r_p, p, G mod p, its Frobenius matrix) of the fewest factors
     for p in _candidate_primes(G):
-        fp = _reduce(G, p)  # monic, since G is
+        fp = _residues(G.coeffs, p)  # monic, since G is
         q = _Ring(fp, p).frobenius()
         r_p = _berlekamp_factor_count(q, p)
         if r_p == 1:
@@ -567,7 +430,7 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
             prod = [1]
             for i in combo:
                 prod = _bmul(prod, lifted[i], modulus)
-            cand = IntPoly(_symmetric_list(prod, modulus), G.var)
+            cand = IntPoly(_symmetric(prod, modulus), G.var)
             if cand.constant == 0 or g_rem.constant % cand.constant:
                 continue  # cheap filter: cand(0) must divide g_rem(0)
             if cand.divides(g_rem):

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .dynmaps import dynatomic
 from .factorz import factor
-from .polycore import IntPoly, squarefree_part
+from .polycore import _MEMO_SIZE, IntPoly, _strip, squarefree_part
 
 __all__ = [
     "FieldElement",
@@ -66,9 +67,7 @@ class RatPoly:
     var: str = "y"
 
     def __post_init__(self) -> None:
-        cs = [_frac(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = _strip([_frac(c) for c in self.coeffs])
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @property
@@ -292,14 +291,9 @@ def _mult_matrix(e: FieldElement) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-_CHARPOLY: dict[FieldElement, RatPoly] = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def _char_poly(e: FieldElement) -> RatPoly:
     """Characteristic polynomial of multiplication by e (Faddeev-LeVerrier)."""
-    got = _CHARPOLY.get(e)
-    if got is not None:
-        return got
     d = e.field.degree
     m = _mult_matrix(e)
     coeffs = [Fraction(0)] * (d + 1)
@@ -314,9 +308,7 @@ def _char_poly(e: FieldElement) -> RatPoly:
             for i in range(d)
         ]
         coeffs[d - k] = -sum(a[i][i] for i in range(d)) / k
-    out = RatPoly(tuple(coeffs), "y")
-    _CHARPOLY[e] = out
-    return out
+    return RatPoly(tuple(coeffs), "y")
 
 
 def minimal_polynomial(e: FieldElement) -> RatPoly:

@@ -12,8 +12,15 @@ integers, with the elimination toolkit the rest of the package is built on:
 
 Everything here is a pure function of immutable values.  Coefficients are
 arbitrary-precision; nothing ever rounds.  Large bivariate eliminations are
-computed through mod-p images recombined by CRT against a rigorous
-Sylvester-determinant height bound, so the results are exact, not sampled.
+computed through mod-p images recombined by CRT.  The default modular route
+stops once the symmetric lift survives two extra primes unchanged, which is
+a heuristic, not a proof: only its fallback runs to the rigorous
+Sylvester-determinant height bound.  gcd_fast and product_equals do certify
+what they return.
+
+The modular kernel section is the package's one copy of coefficient-list
+arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
+gcd, scalar resultant, symmetric lift and CRT step.  factorz builds on it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ import numpy as np
 
 class NotDivisibleError(ArithmeticError):
     """Exact polynomial division left a remainder."""
+
+
+# Entries kept by each memo table of the package (one functools.lru_cache
+# per builder).  The default thm31 sweep puts 60 keys in each Misiurewicz
+# table and the default thm14 sweep 37 in the parabolic one; no other table
+# of either sweep holds more.
+_MEMO_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +131,190 @@ def _prime_at(index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# modular kernel: coefficient lists, ascending, over Z/m or GF(p).  Results
+# are reduced into [0, m) and normalized (no high zero; the zero polynomial
+# is []), and so must inputs be, except that the GF(p) gcd and the scalar
+# resultant reduce their own.
+
+# Above this many terms (of the shorter factor) a product over Z/m is one
+# big-integer multiplication (Kronecker substitution) instead of schoolbook.
+# Measured crossover: ~10 terms at 60-bit moduli, ~24 at 600-bit ones.
+_KRONECKER_MIN_TERMS = 16
+# Euclid steps whose divisor has this degree or more run on int64 vectors,
+# smaller ones on lists: a vector step costs a few numpy calls, a list step
+# Python work in proportion to the degree.  Timed for p from 5 to 2^25 on
+# random coprime pairs and on the gcds of the thm31 and thm14 sweeps: 32 to
+# 80 timed alike, 96 and 128 were slower.
+_GCD_NP_MIN_DEGREE = 64
+
+
+def _strip(a):
+    """a without its high zero coefficients: a list, tuple or numpy vector,
+    returned as it is when it has none."""
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return a if n == len(a) else a[:n]
+
+
+def _residues(a: Iterable[int], m: int) -> list[int]:
+    return _strip([c % m for c in a])
+
+
+def _symmetric(a: list[int], m: int) -> list[int]:
+    """Symmetric lift of residues mod m into (-m/2, m/2]."""
+    half = m >> 1
+    return [v - m if v > half else v for v in a]
+
+
+def _crt(acc: list[int], m: int, img: list[int], p: int) -> tuple[list[int], int]:
+    """Residues mod m*p congruent to acc mod m and to img mod p, and m*p.
+
+    From acc = [0, ...] and m = 1 this returns img itself.
+    """
+    inv = pow(m % p, -1, p)
+    return [r + m * ((s - r) * inv % p) for r, s in zip(acc, img)], m * p
+
+
+def _bmul(a: list[int], b: list[int], m: int) -> list[int]:
+    """Product over Z/m."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    if min(len(a), len(b)) > _KRONECKER_MIN_TERMS:
+        # evaluate both at 2^(8w), multiply once, read the coefficients back
+        # off the bytes: w bytes hold every coefficient of the product
+        bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
+        w = bits // 8 + 1
+        A, B = (
+            int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
+            for v in (a, b)
+        )
+        raw = (A * B).to_bytes(n * w, "little")
+        return _residues((int.from_bytes(raw[i : i + w], "little") for i in range(0, n * w, w)), m)
+    out = [0] * n
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return _residues(out, m)
+
+
+def _badd(a: list[int], b: list[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return _residues(out, m)
+
+
+def _bsub(a: list[int], b: list[int], m: int) -> list[int]:
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] = (out[i] - v) % m
+    return _strip(out)
+
+
+def _bdivmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic b over Z/m."""
+    if len(a) < len(b):
+        return [], list(a)
+    r = list(a)
+    df = len(b) - 1
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        t = r[k + df] % m
+        q[k] = t
+        if t:
+            # reduced once at the end: only the leading term is read mod m
+            r[k : k + df + 1] = [u - t * v for u, v in zip(r[k : k + df + 1], b)]
+    return _strip(q), _residues(r[:df], m)
+
+
+def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over GF(p); b is not zero."""
+    if len(a) < len(b):
+        return [], list(a)
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    df = len(b) - 1
+    q = [0] * (len(a) - df)
+    for k in range(len(a) - len(b), -1, -1):
+        t = r[k + df] * inv % p
+        if t:
+            q[k] = t
+            # r[k + df] becomes 0 and is never read again
+            for j in range(df):
+                r[k + j] = (r[k + j] - t * b[j]) % p
+    return _strip(q), _strip(r[:df])
+
+
+def _gf_exactdiv(a: list[int], b: list[int], p: int) -> list[int]:
+    q, r = _gf_divmod(a, b, p)
+    if r:
+        raise ArithmeticError(f"GF({p}) division left a remainder of degree {len(r) - 1}")
+    return q
+
+
+def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over GF(p); [] when both are zero mod p.
+
+    Euclid's steps run on int64 vectors while the divisor has degree
+    _GCD_NP_MIN_DEGREE or more (p < 2^31 keeps them exact), then on lists.
+    """
+    a, b = _residues(a, p), _residues(b, p)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > _GCD_NP_MIN_DEGREE:
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        while b.size > _GCD_NP_MIN_DEGREE:
+            # a mod b, in place: every array here is owned by this loop
+            inv = pow(int(b[-1]), -1, p)
+            for k in range(a.size - b.size, -1, -1):
+                t = int(a[k + b.size - 1]) * inv % p
+                if t:
+                    a[k : k + b.size] = (a[k : k + b.size] - t * b) % p
+            a, b = b, _strip(a[: b.size - 1])
+        a, b = a.tolist(), b.tolist()
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [v * inv % p for v in a]
+
+
+def _scalar_resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
+    """Resultant of ascending coefficient lists over GF(p), exact formula."""
+    a, b = _residues(a, p), _residues(b, p)
+    if not a or not b:
+        return 0
+    if len(a) == 1:
+        return pow(a[0], len(b) - 1, p)
+    if len(b) == 1:
+        return pow(b[0], len(a) - 1, p)
+    res = 1
+    if len(a) < len(b):
+        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
+            res = p - 1
+        a, b = b, a
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        r = _gf_divmod(a, b, p)[1]
+        if not r:
+            return 0
+        dr = len(r) - 1
+        res = res * pow(b[-1], da - dr, p) % p
+        if (da % 2 == 1) and (db % 2 == 1):
+            res = p - res
+        a, b = b, r
+        if dr == 0:
+            return res * pow(r[0], len(a) - 1, p) % p
+
+
+# ---------------------------------------------------------------------------
 # univariate polynomials
-
-
-def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -144,11 +334,7 @@ class IntPoly:
     var: str = "x"
 
     def __post_init__(self) -> None:
-        stripped = _strip(self.coeffs)
-        if stripped != tuple(self.coeffs):
-            object.__setattr__(self, "coeffs", stripped)
-        else:
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", _strip(tuple(self.coeffs)))
 
     # -- basic structure
 
@@ -455,47 +641,6 @@ def gcd_subresultant(A: IntPoly, B: IntPoly) -> IntPoly:
             h = g ** delta // h ** (delta - 1)
 
 
-def _trim_high(a: np.ndarray) -> np.ndarray:
-    """a without its high zero coefficients (np.trim_zeros is slow on numpy 2)."""
-    nz = np.flatnonzero(a)
-    return a[: nz[-1] + 1] if nz.size else a[:0]
-
-
-def _gcd_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd of two coefficient arrays (ascending) over GF(p)."""
-    a = _trim_high(a % p)
-    b = _trim_high(b % p)
-    if a.size < b.size:
-        a, b = b, a
-    while b.size:  # a.size >= b.size from here on
-        # a mod b, in place
-        inv = pow(int(b[-1]), p - 2, p)
-        r = a.copy()
-        for k in range(r.size - b.size, -1, -1):
-            f = int(r[k + b.size - 1]) * inv % p
-            if f:
-                r[k : k + b.size] = (r[k : k + b.size] - f * b) % p
-        a, b = b, _trim_high(r[: b.size - 1])
-    if not a.size:
-        return a
-    return a * pow(int(a[-1]), p - 2, p) % p
-
-
-def _reduce_mod(poly: IntPoly, p: int) -> np.ndarray:
-    return np.array([c % p for c in poly.coeffs], dtype=np.int64)
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    # r mod m1*m2 with r = r1 mod m1, r2 mod m2
-    inv = pow(m1 % m2, -1, m2)
-    t = (r2 - r1) % m2 * inv % m2
-    return r1 + m1 * t
-
-
-def _symmetric(r: int, m: int) -> int:
-    return r - m if 2 * r > m else r
-
-
 def gcd_fast(A: IntPoly, B: IntPoly) -> IntPoly:
     """Primitive gcd, modular fast path with exact verification.
 
@@ -526,24 +671,21 @@ def gcd_fast(A: IntPoly, B: IntPoly) -> IntPoly:
         if a.lc % p == 0 or b.lc % p == 0:
             continue
         tried += 1
-        g = _gcd_mod_p(_reduce_mod(a, p), _reduce_mod(b, p), p)
-        deg = g.size - 1
+        g = _gf_gcd(a.coeffs, b.coeffs, p)
+        deg = len(g) - 1
         if deg == 0:
             return IntPoly.const(cont, A.var)
         if best_deg is not None and deg > best_deg:
             continue  # unlucky prime saw too large a gcd
-        scaled = [int(v) * gamma % p for v in g]
+        scaled = [v * gamma % p for v in g]
         if best_deg is None or deg < best_deg:
             best_deg = deg
             acc = scaled
             modulus = p
             prev_cand = None
             continue
-        acc = [_crt_pair(r1, modulus, r2, p) for r1, r2 in zip(acc, scaled)]
-        modulus *= p
-        cand = IntPoly(
-            tuple(_symmetric(v % modulus, modulus) for v in acc), A.var
-        ).primitive_part()
+        acc, modulus = _crt(acc, modulus, scaled, p)
+        cand = IntPoly(_symmetric(acc, modulus), A.var).primitive_part()
         if cand == prev_cand:
             # stabilized: one exact division each way certifies it
             if cand.degree == best_deg and cand.divides(a) and cand.divides(b):
@@ -577,7 +719,7 @@ def squarefree_part(A: IntPoly) -> IntPoly:
 # cyclotomic polynomials
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     if m == 1:
         return (-1, 1)
@@ -612,8 +754,7 @@ def _strip_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         out.pop()
     width = 0
     for r in out:
-        nz = len(_strip(r))
-        width = max(width, nz)
+        width = max(width, len(_strip(r)))
     return tuple(tuple(r[:width]) + (0,) * (width - len(r[:width])) for r in out)
 
 
@@ -806,9 +947,7 @@ class BiPoly:
             acc = [c * value for c in acc]
             for i, c in enumerate(p.coeffs):
                 acc[i] += c
-        while acc and acc[-1] == 0:
-            acc.pop()
-        return acc
+        return _strip(acc)
 
     def eval_point(self, outer_value, inner_value):
         acc = 0
@@ -872,6 +1011,26 @@ class BiPoly:
         return BiPoly(rows, self.inner, self.outer)
 
 
+def _bi_image(f: BiPoly, p: int) -> np.ndarray:
+    """f mod p as an int64 matrix: rows along the outer variable."""
+    return np.array([[v % p for v in row] for row in f.rows], dtype=np.int64)
+
+
+def _bimul_mod_p(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Product of two bivariate images mod p, one convolution per row pair."""
+    if x.shape[0] > y.shape[0]:
+        x, y = y, x
+    out = np.zeros(
+        (x.shape[0] + y.shape[0] - 1, x.shape[1] + y.shape[1] - 1), dtype=np.int64
+    )
+    for i, row in enumerate(x):
+        for k, other in enumerate(y):
+            out[i + k] += np.convolve(row, other) % p
+        if (i & 31) == 31:
+            out %= p
+    return out % p
+
+
 def _bipoly_mul_modular(A: BiPoly, B: BiPoly) -> BiPoly:
     """Exact product via mod-p images + CRT (a-priori height bound)."""
     bound_bits = (
@@ -880,49 +1039,17 @@ def _bipoly_mul_modular(A: BiPoly, B: BiPoly) -> BiPoly:
         + (min(A.term_count(), B.term_count())).bit_length()
         + 2
     )
-    # orient rows along the smaller outer dimension for fewer python loops
-    ra = np.array(
-        [[v for v in row] + [0] * (A.degree(A.inner) + 1 - len(row)) for row in A.rows],
-        dtype=object,
-    )
-    rb = np.array(
-        [[v for v in row] + [0] * (B.degree(B.inner) + 1 - len(row)) for row in B.rows],
-        dtype=object,
-    )
-    n_out_rows = len(A.rows) + len(B.rows) - 1
-    n_out_cols = A.degree(A.inner) + B.degree(B.inner) + 1
+    width = A.degree(A.inner) + B.degree(B.inner) + 1
+    acc = [0] * ((len(A.rows) + len(B.rows) - 1) * width)
     modulus = 1
-    acc: np.ndarray | None = None
     idx = 0
     while modulus.bit_length() <= bound_bits:
         p = _prime_at(idx)
         idx += 1
-        pa = (ra % p).astype(np.int64)
-        pb = (rb % p).astype(np.int64)
-        out = np.zeros((n_out_rows, n_out_cols), dtype=np.int64)
-        for i in range(pa.shape[0]):
-            rowa = pa[i]
-            for k in range(pb.shape[0]):
-                conv = np.convolve(rowa, pb[k]) % p
-                out[i + k, : conv.size] += conv
-            if (i & 31) == 31:
-                out %= p
-        out %= p
-        obj = out.astype(object)
-        if acc is None:
-            acc = obj
-            modulus = p
-        else:
-            inv = pow(modulus % p, p - 2, p)
-            delta = (obj - acc % p) * inv % p
-            acc = acc + modulus * delta
-            modulus *= p
-    assert acc is not None
-    half = modulus >> 1
-    rows = [
-        tuple(int(v - modulus) if v > half else int(v) for v in acc[i])
-        for i in range(n_out_rows)
-    ]
+        img = _bimul_mod_p(_bi_image(A, p), _bi_image(B, p), p)
+        acc, modulus = _crt(acc, modulus, img.ravel().tolist(), p)
+    flat = _symmetric(acc, modulus)
+    rows = [flat[i : i + width] for i in range(0, len(flat), width)]
     return BiPoly(rows, A.outer, A.inner)
 
 
@@ -948,37 +1075,17 @@ def product_equals(factors: Sequence[BiPoly], target: BiPoly) -> bool:
     while modulus.bit_length() <= bound:
         p = _prime_at(idx)
         idx += 1
-        prod = None
-        for f in factors:
-            arr = np.array(
-                [[v % p for v in row] + [0] * (f.degree(f.inner) + 1 - len(row)) for row in f.rows],
-                dtype=np.int64,
-            )
-            if prod is None:
-                prod = arr
-                continue
-            out = np.zeros(
-                (prod.shape[0] + arr.shape[0] - 1, prod.shape[1] + arr.shape[1] - 1),
-                dtype=np.int64,
-            )
-            small, big = (arr, prod) if arr.shape[0] <= prod.shape[0] else (prod, arr)
-            for i in range(small.shape[0]):
-                for k in range(big.shape[0]):
-                    conv = np.convolve(small[i], big[k]) % p
-                    out[i + k, : conv.size] += conv
-                out %= p
-            prod = out
-        tgt = np.zeros_like(prod)
-        for i, row in enumerate(target.rows):
-            tgt[i, : len(row)] = np.array([v % p for v in row], dtype=np.int64)
-        if not np.array_equal(prod % p, tgt):
+        prod = _bi_image(factors[0], p)
+        for f in factors[1:]:
+            prod = _bimul_mod_p(prod, _bi_image(f, p), p)
+        if not np.array_equal(prod, _bi_image(target, p)):
             return False
         modulus *= p
     return True
 
 
 # ---------------------------------------------------------------------------
-# bivariate resultant: evaveluation-interpolation (bigint and modular routes)
+# bivariate resultant: evaluation-interpolation (bigint and modular routes)
 
 
 def _degree_bound_kept(a_cols: list[IntPoly], b_cols: list[IntPoly]) -> int:
@@ -1046,11 +1153,6 @@ def _resultant_points_bigint(
     return _newton_interpolate_fractions(pts, vals, kept)
 
 
-def _batch_inverse(arr: np.ndarray, p: int) -> np.ndarray:
-    """Vector modular inverse, Fermat exponentiation on the whole array."""
-    return _pow_mod_vec(arr, p - 2, p)
-
-
 def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
     result = np.ones_like(base)
     b = base % p
@@ -1061,48 +1163,6 @@ def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
         if e:
             b = b * b % p
     return result
-
-
-def _scalar_resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
-    """Resultant of ascending coefficient lists over GF(p), exact formula."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a or not b:
-        return 0
-    res = 1
-    if len(a) - 1 == 0:
-        return pow(a[0], len(b) - 1, p)
-    if len(b) - 1 == 0:
-        return pow(b[0], len(a) - 1, p)
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            res = p - 1
-        a, b = b, a
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        for k in range(da - db, -1, -1):
-            f = r[k + db] * inv % p
-            if f:
-                for j in range(db + 1):
-                    r[k + j] = (r[k + j] - f * b[j]) % p
-        r = r[:db]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            return 0
-        dr = len(r) - 1
-        res = res * pow(b[-1], da - dr, p) % p
-        if (da % 2 == 1) and (db % 2 == 1):
-            res = p - res
-        a, b = b, r
-        if dr == 0:
-            return res * pow(r[0], len(a) - 1, p) % p
 
 
 def _vector_resultants_mod_p(
@@ -1127,7 +1187,7 @@ def _vector_resultants_mod_p(
         newly_bad = (lead == 0) & ~bad
         bad |= newly_bad
         lead[bad] = 1  # dummy pivot, results for bad points discarded later
-        inv = _batch_inverse(lead, p)
+        inv = _pow_mod_vec(lead, p - 2, p)
         r = a.copy()
         for k in range(da - db + 1):
             f = r[:, k] * inv % p
@@ -1157,7 +1217,7 @@ def _newton_interpolate_mod_p(
     dd = ys.copy() % p
     for j in range(1, m):
         denom = (xs[j:] - xs[: m - j]) % p
-        dd[j:] = (dd[j:] - dd[j - 1 : m - 1]) * _batch_inverse(denom, p) % p
+        dd[j:] = (dd[j:] - dd[j - 1 : m - 1]) * _pow_mod_vec(denom, p - 2, p) % p
     coeffs = np.zeros(m, dtype=np.int64)
     for k in range(m - 1, -1, -1):
         shifted = np.zeros(m, dtype=np.int64)
@@ -1196,7 +1256,7 @@ def _resultant_image_mod_p(
 
 
 def _resultant_points_modular(
-    a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str
+    a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str, certified: bool = False
 ) -> IntPoly:
     """Multimodular resultant with degree discovery and early termination.
 
@@ -1205,92 +1265,60 @@ def _resultant_points_modular(
     is wasteful.  Two full-width primes that agree pin down the true degree
     (a prime can only lower it, never raise it); the remaining primes run
     at that width and accumulate by incremental CRT until the symmetric
-    lift survives two extra primes unchanged.  The certified bit bound
-    stays as the unconditional stop.
+    lift survives two extra primes unchanged.  That stop is a heuristic,
+    not a proof; the bit bound stays as the unconditional stop.
+
+    certified=True skips both shortcuts: every prime runs at the full width
+    dk + 1 until the modulus passes the bit bound, so the result is proven.
     """
     dk = _degree_bound_kept(a_cols, b_cols)
     bound_bits = _det_height_bits(a_cols, b_cols, dk)
     pts_all = _candidate_points(a_cols[-1], b_cols[-1], dk + 1 + 24)
-
     idx = 0
+
+    def image(width: int) -> tuple[int, list[int]]:
+        # the next prime that leaves enough usable evaluation points
+        nonlocal idx
+        while True:
+            p = _prime_at(idx)
+            idx += 1
+            img = _resultant_image_mod_p(a_cols, b_cols, pts_all, p, width)
+            if img is not None:
+                return p, img
+
     full_images: list[tuple[int, list[int]]] = []
     degs: list[int] = []
-    while True:
-        p = _prime_at(idx)
-        idx += 1
-        img = _resultant_image_mod_p(a_cols, b_cols, pts_all, p, dk + 1)
-        if img is None:
-            continue
+    deg_true = dk
+    while not certified:
+        p, img = image(dk + 1)
         full_images.append((p, img))
-        d_p = max((i for i, v in enumerate(img) if v), default=-1)
-        degs.append(d_p)
+        degs.append(max((i for i, v in enumerate(img) if v), default=-1))
         if degs.count(-1) >= 3:
             return IntPoly.zero(kept)
-        best = max(degs)
-        if best >= 0 and degs.count(best) >= 2:
-            deg_true = best
+        deg_true = max(degs)
+        if deg_true >= 0 and degs.count(deg_true) >= 2:
             break
 
     width = min(dk + 1, deg_true + 5)
-    modulus = 1
-    acc: list[int] = [0] * width
+    acc, modulus = [0] * width, 1
     for p, img in full_images:
-        if modulus == 1:
-            acc, modulus = img[:width], p
-        else:
-            acc = [
-                _crt_pair(r1, modulus, r2, p)
-                for r1, r2 in zip(acc, img[:width])
-            ]
-            modulus *= p
-    prev: tuple[int, ...] | None = None
+        acc, modulus = _crt(acc, modulus, img[:width], p)
+    prev: list[int] | None = None
     stable = 0
     while modulus.bit_length() <= bound_bits + 1:
-        cand = tuple(_symmetric(v, modulus) for v in acc)
-        if cand == prev:
-            stable += 1
+        if not certified:
+            cand = _symmetric(acc, modulus)
+            stable = stable + 1 if cand == prev else 0
             if stable >= 2:
                 break
-        else:
-            stable = 0
             prev = cand
-        p = _prime_at(idx)
-        idx += 1
-        img = _resultant_image_mod_p(a_cols, b_cols, pts_all, p, width)
-        if img is None:
-            continue
+        p, img = image(width)
         if any(img[deg_true + 1 :]):
             # degree discovery was beaten by two coinciding unlucky primes;
             # the margin columns expose it, so redo at certified full width
-            return _resultant_modular_certified(a_cols, b_cols, kept)
-        acc = [_crt_pair(r1, modulus, r2, p) for r1, r2 in zip(acc, img[:width])]
-        modulus *= p
-    return IntPoly(tuple(_symmetric(v, modulus) for v in acc), kept)
-
-
-def _resultant_modular_certified(
-    a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str
-) -> IntPoly:
-    """Full-width multimodular resultant driven to the Hadamard bound."""
-    dk = _degree_bound_kept(a_cols, b_cols)
-    bound_bits = _det_height_bits(a_cols, b_cols, dk)
-    pts_all = _candidate_points(a_cols[-1], b_cols[-1], dk + 1 + 24)
-    modulus = 1
-    acc: list[int] | None = None
-    idx = 0
-    while modulus.bit_length() <= bound_bits + 1:
-        p = _prime_at(idx)
-        idx += 1
-        img = _resultant_image_mod_p(a_cols, b_cols, pts_all, p, dk + 1)
-        if img is None:
-            continue
-        if acc is None:
-            acc, modulus = img, p
-        else:
-            acc = [_crt_pair(r1, modulus, r2, p) for r1, r2 in zip(acc, img)]
-            modulus *= p
-    assert acc is not None
-    return IntPoly(tuple(_symmetric(v, modulus) for v in acc), kept)
+            return _resultant_points_modular(a_cols, b_cols, kept, certified=True)
+        acc, modulus = _crt(acc, modulus, img, p)
+    return IntPoly(_symmetric(acc, modulus), kept)
 
 
 def resultant(
@@ -1298,8 +1326,10 @@ def resultant(
 ) -> IntPoly:
     """Sylvester resultant of A and B with respect to `eliminate`.
 
-    Returns the exact signed resultant as a polynomial in the other
-    variable.  Satisfies Res(A*B, C) = Res(A, C) * Res(B, C).
+    Returns the signed resultant as a polynomial in the other variable.
+    Satisfies Res(A*B, C) = Res(A, C) * Res(B, C).  The "prs" route is
+    exact; the "modular" route stops on a stable CRT lift (see
+    _resultant_points_modular), so its result is not proven.
     """
     if A.vars != B.vars:
         raise ValueError(f"variable mismatch {A.vars} vs {B.vars}")

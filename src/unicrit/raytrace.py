@@ -183,7 +183,10 @@ def _complex_json(z, bits: int) -> dict:
 def _depth(n: int, t, tau: float = TAU_ESCAPE) -> int:
     if t >= tau:
         return 0
-    return max(0, math.ceil(math.log(tau / float(t), n)))
+    # log(tau / t) from t = m 2^e: tau / float(t) overflows below ~1e-308,
+    # and an mpmath log at working precision costs ~10x more per Newton solve
+    m, e = mp.frexp(t)
+    return max(0, math.ceil((math.log(tau / float(m)) - e * math.log(2)) / math.log(n)))
 
 
 def _ray_target(n: int, angle: Angle, t, K: int):

@@ -276,6 +276,18 @@ def test_ray_trace_newton_divergence_is_numeric():
     )
 
 
+def test_ray_trace_subnormal_potential_is_classified():
+    # potentials below the double range (~1e-308) end in a classified JSON
+    # error, not a traceback from a float overflow
+    proc = subprocess.run(
+        [sys.executable, "-m", "unicrit.cli", "ray", "trace", "--n", "2", "--angle", "1/3",
+         "--potential-start", "2e-320", "--potential-end", "1e-320"],
+        capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (proc.returncode, doc["error"]["kind"]) == (1, "numeric")
+
+
 def test_ray_angles_defaults():
     code, doc = run_json(["ray", "angles"])
     assert code == 0

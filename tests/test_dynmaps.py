@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from unicrit import dynmaps, numfield, polycore
 from unicrit.dynmaps import (
     CriticalOrbitPoly,
     DegreeCapError,
@@ -27,7 +28,9 @@ from unicrit.dynmaps import (
     periodicity_poly,
 )
 from unicrit.factorz import factor
+from unicrit.numfield import NumberField, RatPoly
 from unicrit.polycore import (
+    _MEMO_SIZE,
     BiPoly,
     IntPoly,
     cyclotomic,
@@ -537,3 +540,44 @@ def test_types_carry_their_indices():
     assert isinstance(pair, IteratePair) and pair.k == 2
     orb = critical_orbit_poly(3, 4)
     assert isinstance(orb, CriticalOrbitPoly) and (orb.k, orb.n) == (4, 3)
+
+
+# ---------------------------------------------------------------------------
+# memo tables
+
+MEMO_BUILDERS = [
+    dynmaps._iterate_fc, dynmaps._iterate_gb, dynmaps._orbit,
+    dynmaps._critical_value, dynmaps._dynatomic, dynmaps._multiplier,
+    dynmaps._multiplier_resultant, dynmaps._gleason, dynmaps._misiurewicz_raw,
+    dynmaps._misiurewicz, dynmaps._parabolic, numfield._char_poly,
+    polycore._cyclotomic_coeffs,
+]
+GAUSS = NumberField(RatPoly((1, 0, 1)))  # x^2 + 1
+C = IntPoly.gen("c")
+PRIMES = [q for q in range(2, 8000) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+
+
+def test_every_memo_table_has_the_one_bound():
+    assert {b.cache_info().maxsize for b in MEMO_BUILDERS} == {_MEMO_SIZE}
+
+
+@pytest.mark.parametrize("builder, key, expect", [
+    # f_c^2(0) = c^n + c
+    (dynmaps._critical_value, lambda i: (i + 2, 2), lambda i: C ** (i + 2) + C),
+    # the characteristic polynomial of i + sqrt(-1) is y^2 - 2i y + i^2 + 1
+    (numfield._char_poly, lambda i: (GAUSS.element((i, 1)),),
+     lambda i: RatPoly((i * i + 1, -2 * i, 1), "y")),
+    # a prime is no other key's divisor, so its entry ages out; Phi_q is
+    # 1 + x + ... + x^(q-1)
+    (polycore._cyclotomic_coeffs, lambda i: (PRIMES[i],), lambda i: (1,) * PRIMES[i]),
+])
+def test_memo_table_stays_bounded(builder, key, expect):
+    count = _MEMO_SIZE + 40
+    got = [builder(*key(i)) for i in range(count)]
+    assert builder.cache_info().currsize <= _MEMO_SIZE
+    misses = builder.cache_info().misses
+    again = [builder(*key(i)) for i in range(40)]  # the oldest keys, evicted
+    assert builder.cache_info().misses > misses
+    assert builder.cache_info().currsize <= _MEMO_SIZE
+    assert again == got[:40]
+    assert got == [expect(i) for i in range(count)]

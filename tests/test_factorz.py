@@ -11,26 +11,28 @@ import random
 import numpy as np
 import pytest
 
-from unicrit import factorz
+from unicrit import factorz, polycore
 from unicrit.factorz import (
     Factorization,
     factor,
     is_irreducible,
     norm_of_root,
     _Ring,
-    _badd,
-    _bdivmod_monic,
-    _bmul,
     _berlekamp_factor_count,
     _ddf,
     _edf,
     _norm_unchecked,
-    _pgcd,
-    _pmod,
-    _pmul,
-    _ptrim,
 )
-from unicrit.polycore import IntPoly, cyclotomic
+from unicrit.polycore import (
+    IntPoly,
+    _badd,
+    _bdivmod_monic,
+    _bmul,
+    _gf_exactdiv,
+    _gf_gcd,
+    _strip,
+    cyclotomic,
+)
 
 x = IntPoly.gen()
 
@@ -212,11 +214,11 @@ def test_factor_self_check_raises_without_assert(monkeypatch):
 
 
 def _list_mulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
+    return _bdivmod_monic(_bmul(a, b, p), f, p)[1]
 
 
 def _list_powmod(a, e, f, p):
-    result, b = [1], _pmod(a, f, p)
+    result, b = [1], _bdivmod_monic(a, f, p)[1]
     while e:
         if e & 1:
             result = _list_mulmod(result, b, f, p)
@@ -242,11 +244,11 @@ def _list_ddf(f, p):
         h = _list_powmod(h, p, rest, p)
         hx = h + [0] * (2 - len(h))
         hx[1] = (hx[1] - 1) % p
-        g = _pgcd(_ptrim(hx), rest, p)
+        g = _gf_gcd(_strip(hx), rest, p)
         if len(g) > 1:
             out.append((g, j))
-            rest = factorz._pexactdiv(rest, g, p)
-            h = _pmod(h, rest, p)
+            rest = _gf_exactdiv(rest, g, p)
+            h = _bdivmod_monic(h, rest, p)[1]
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
     return out
@@ -255,8 +257,8 @@ def _list_ddf(f, p):
 def _random_squarefree_monic(rng, d, p):
     while True:
         f = [rng.randrange(p) for _ in range(d)] + [1]
-        df = _ptrim([i * f[i] % p for i in range(1, d + 1)])
-        if _pgcd(f, df, p) == [1]:
+        df = _strip([i * f[i] % p for i in range(1, d + 1)])
+        if _gf_gcd(f, df, p) == [1]:
             return f
 
 
@@ -303,7 +305,7 @@ def test_kronecker_product_matches_schoolbook(monkeypatch):
             b = [rng.choice((0, m - 1, rng.randrange(m))) for _ in range(lb - 1)] + [1]
             cases.append((a, b, m))
     fast = [_bmul(a, b, m) for a, b, m in cases]
-    monkeypatch.setattr(factorz, "_KRONECKER_MIN_TERMS", 10 ** 9)
+    monkeypatch.setattr(polycore, "_KRONECKER_MIN_TERMS", 10 ** 9)
     assert fast == [_bmul(a, b, m) for a, b, m in cases]
 
 
@@ -316,4 +318,4 @@ def test_monic_division_mod_m_identity():
             b = [rng.randrange(m) for _ in range(lb - 1)] + [1]
             q, r = _bdivmod_monic(a, b, m)
             assert len(r) < len(b) and all(0 <= v < m for v in q + r)
-            assert _badd(_bmul(q, b, m), r, m) == _ptrim([v % m for v in a])
+            assert _badd(_bmul(q, b, m), r, m) == _strip([v % m for v in a])

@@ -5,14 +5,15 @@ Sylvester matrix determinant computed by exact Gaussian elimination over
 Fraction.  Nothing in the oracle shares code with the implementation.
 """
 
+import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from unicrit.factorz import _pgcd
+from unicrit import polycore
 from unicrit.polycore import (
     BiPoly,
     IntPoly,
@@ -32,8 +33,14 @@ from unicrit.polycore import (
     root_power_transform,
     root_scale_transform,
     squarefree_part,
+    _GCD_NP_MIN_DEGREE,
+    _bdivmod_monic,
     _bipoly_mul_modular,
-    _gcd_mod_p,
+    _gf_divmod,
+    _gf_gcd,
+    _prime_at,
+    _resultant_points_modular,
+    _scalar_resultant_mod_p,
 )
 
 
@@ -342,19 +349,91 @@ def test_gcd_fast_large_coefficients():
     assert g.primitive_part().divides(got)
 
 
-def test_gcd_mod_p_matches_factorz_pgcd():
+# ---------------------------------------------------------------------------
+# modular kernel against plain list references kept here
+
+
+def _list_mul(a, b, m):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return [v % m for v in out]
+
+
+def _list_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _list_gcd(a, b, p):
+    """Euclid over GF(p), one leading term at a time; monic result."""
+    a, b = _list_trim([v % p for v in a]), _list_trim([v % p for v in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            t, shift = a[-1] * inv % p, len(a) - len(b)
+            for j, v in enumerate(b):
+                a[shift + j] = (a[shift + j] - t * v) % p
+            _list_trim(a)
+        a, b = b, a
+    return [v * pow(a[-1], -1, p) % p for v in a] if a else []
+
+
+def test_gf_gcd_matches_list_reference():
     rng = random.Random(333)
-    for p in (5, 97, 10007):
-        for _ in range(40):
-            g = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
-            a, b = ([rng.randrange(p) for _ in range(rng.randint(0, 20))] for _ in "ab")
-            a = [v % p for v in np.convolve(g, a + [1]).tolist()] if rng.random() < 0.8 else a
-            b = [v % p for v in np.convolve(g, b + [1]).tolist()] if rng.random() < 0.8 else b
+    top = 2 * _GCD_NP_MIN_DEGREE
+    for p in (5, 97, 10007, _prime_at(0)):
+        for _ in range(16):
+            # common factors from degree 0 to past the vector switch
+            g = [rng.randrange(p) for _ in range(rng.choice((0, 3, 20, top)))] + [1]
+            a, b = ([rng.randrange(p) for _ in range(rng.randint(0, top))] for _ in "ab")
+            a = _list_mul(g, a + [1], p) if rng.random() < 0.8 else a
+            b = _list_mul(g, b + [1], p) if rng.random() < 0.8 else b
             b = b + [0] * rng.randint(0, 3)  # untrimmed high zeros
-            got = _gcd_mod_p(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
-            assert got.tolist() == _pgcd(a, b, p), (p, a, b)
-    empty = np.zeros(0, dtype=np.int64)
-    assert _gcd_mod_p(empty, np.zeros(3, dtype=np.int64), 7).tolist() == _pgcd([], [0, 0, 0], 7) == []
+            a = [v + p * rng.randint(-2, 2) for v in a]  # unreduced
+            assert _gf_gcd(a, b, p) == _list_gcd(a, b, p), (p, a, b)
+    assert _gf_gcd([], [0, 0, 0], 7) == _list_gcd([], [0, 0, 0], 7) == []
+    assert _gf_gcd([14, 7], [0], 7) == []
+    assert _gf_gcd([3, 6], [], 7) == [4, 1]
+    big = [rng.randrange(97) for _ in range(top)] + [5]
+    assert _gf_gcd([], big, 97) == _gf_gcd(big, [0] * 3, 97) == _list_gcd(big, [], 97)
+
+
+def test_division_identity_prime_and_prime_power():
+    rng = random.Random(334)
+    cases = [(_gf_divmod, 10007, False), (_gf_divmod, 5, False),
+             (_bdivmod_monic, 7 ** 20, True), (_bdivmod_monic, 3 ** 200, True)]
+    for divmod_fn, m, monic in cases:
+        for la, lb in ((3, 5), (1, 1), (40, 1), (40, 17), (90, 30)):
+            a = [rng.randrange(m) for _ in range(la)]
+            b = [rng.randrange(m) for _ in range(lb - 1)]
+            b.append(1 if monic else rng.randrange(1, m))
+            q, r = divmod_fn(a, b, m)
+            assert len(r) < len(b) and all(0 <= v < m for v in q + r)
+            qb = _list_mul(q, b, m)
+            total = [(x + y) % m for x, y in itertools.zip_longest(qb, r, fillvalue=0)]
+            assert _list_trim(total) == _list_trim([v % m for v in a]), (m, la, lb)
+
+
+def test_scalar_resultant_mod_p_matches_exact_resultant():
+    rng = random.Random(335)
+    x = IntPoly.gen()
+    for p in (5, 97, _prime_at(3)):
+        for _ in range(25):
+            A, B = (
+                IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 7))]
+                        + [rng.choice((1, -3, 7, 11))])
+                for _ in "AB"
+            )
+            if rng.random() < 0.3:
+                A = A * (x - rng.randint(-3, 3))  # often a shared root
+                B = B * (x - rng.randint(-3, 3))
+            if A.lc % p == 0 or B.lc % p == 0:
+                continue  # reduction mod p would drop a degree
+            got = _scalar_resultant_mod_p(list(A.coeffs), list(B.coeffs), p)
+            assert got == resultant_univariate(A, B) % p, (p, A, B)
 
 
 def test_squarefree_part_table():
@@ -558,6 +637,26 @@ def test_resultant_methods_agree():
         r1 = resultant(A, B, eliminate="z", method="prs")
         r2 = resultant(A, B, eliminate="z", method="modular")
         assert r1 == r2
+
+
+def test_resultant_certified_route_matches_early_stop(monkeypatch):
+    # the certified run goes through the early-stop route's own prime loop,
+    # and its primes multiply past the height bound
+    rng = random.Random(1213)
+    used = []
+    monkeypatch.setattr(polycore, "_prime_at", lambda i: used.append(i) or _prime_at(i))
+    # small coefficients at high degree: the bound is far above the truth
+    for do, di, bound in ((3, 3, 99), (2, 10, 2), (1, 12, 1)):
+        A = rand_bipoly(rng, do, di, bound=bound)
+        B = rand_bipoly(rng, di, do, bound=bound)
+        a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
+        want = resultant(A, B, eliminate="z", method="prs")
+        used.clear()
+        assert _resultant_points_modular(a_cols, b_cols, "c", certified=True) == want
+        dk = polycore._degree_bound_kept(a_cols, b_cols)
+        bound = polycore._det_height_bits(a_cols, b_cols, dk)
+        assert math.prod(_prime_at(i) for i in used).bit_length() > bound + 1
+        assert _resultant_points_modular(a_cols, b_cols, "c") == want
 
 
 def test_resultant_bivariate_multiplicative():

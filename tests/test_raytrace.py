@@ -8,10 +8,12 @@ from unicrit.polycore import IntPoly
 from unicrit.raytrace import (
     _GUARD_BITS,
     _TAU_POLISH,
+    TAU_ESCAPE,
     Angle,
     PrecisionExhaustedError,
     RayPath,
     _candidate_poly,
+    _depth,
     _orbit,
     _solve_ray_point,
     angle_orbit,
@@ -390,3 +392,10 @@ def test_landing_report_json(half_ray_match):
     assert float(doc["match_distance"]) < 1e-9
     assert set(doc["landing"]) == {"re", "im", "bits"}
     assert abs(float(doc["landing"]["re"]) + 2) < 1e-9
+
+
+def test_depth_lands_in_escape_annulus_below_double_range():
+    # 1e-320 is subnormal and 1e-5000 underflows a double to 0
+    for n, t in ((2, "1e-4"), (3, "1e-320"), (2, "1e-5000")):
+        K = _depth(n, mp.mpf(t))
+        assert TAU_ESCAPE <= n ** K * mp.mpf(t) < n * TAU_ESCAPE, (n, t, K)
