@@ -638,6 +638,7 @@ _ERRORS = (
     (NonConvergenceError, "numeric", EXIT_FAIL),
     (ValueError, "usage", EXIT_USAGE),
     (OSError, "filesystem", EXIT_FAIL),
+    (ArithmeticError, "internal", EXIT_FAIL),  # a failed self-check, not the input
 )
 
 

@@ -33,7 +33,7 @@ from .polycore import (
     root_scale_transform,
     squarefree_part,
 )
-from .polycore import _newton_interpolate_fractions
+from .polycore import _candidate_points, _newton_interpolate_fractions
 
 __all__ = [
     "COORDINATES",
@@ -325,13 +325,9 @@ def _multiplier_resultant(n: int, h: int) -> BiPoly:
     W = _multiplier(n, h)
     dmu = phi.degree("z")
     dbound = dmu * W.degree("c") + W.degree("z") * phi.degree("c")
-    pts: list[int] = [0]
-    t = 1
-    while len(pts) < dbound + 1:
-        pts.append(t)
-        if len(pts) < dbound + 1:
-            pts.append(-t)
-        t += 1
+    pts = _candidate_points(
+        phi.as_univariate_in("z")[-1], W.as_univariate_in("z")[-1], dbound + 1
+    )
     vals = []
     for x in pts:
         A = BiPoly.from_inner_poly(phi.eval_at("c", x), outer="mu")
@@ -349,7 +345,6 @@ def _multiplier_resultant(n: int, h: int) -> BiPoly:
 # ---------------------------------------------------------------------------
 # coordinate transforms
 
-_POWER_GROUP = {"c": "chat", "b": "bhat"}  # x -> x^(n-1)
 # directed transform steps available for n >= 3
 _TRANSFORM_STEPS = {
     ("c", "chat"): ("power",),

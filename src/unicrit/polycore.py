@@ -20,7 +20,9 @@ what they return.
 
 The modular kernel section is the package's one copy of coefficient-list
 arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
-gcd, scalar resultant, symmetric lift and CRT step.  factorz builds on it.
+gcd, symmetric lift and CRT step.  factorz builds on it.  GF(p)
+resultants have one routine too, _vector_resultants_mod_p, which takes a
+batch of evaluation points as numpy rows.
 """
 
 from __future__ import annotations
@@ -133,8 +135,7 @@ def _prime_at(index: int) -> int:
 # ---------------------------------------------------------------------------
 # modular kernel: coefficient lists, ascending, over Z/m or GF(p).  Results
 # are reduced into [0, m) and normalized (no high zero; the zero polynomial
-# is []), and so must inputs be, except that the GF(p) gcd and the scalar
-# resultant reduce their own.
+# is []), and so must inputs be, except that the GF(p) gcd reduces its own.
 
 # Above this many terms (of the shorter factor) a product over Z/m is one
 # big-integer multiplication (Kronecker substitution) instead of schoolbook.
@@ -283,34 +284,6 @@ def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         return a
     inv = pow(a[-1], -1, p)
     return [v * inv % p for v in a]
-
-
-def _scalar_resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
-    """Resultant of ascending coefficient lists over GF(p), exact formula."""
-    a, b = _residues(a, p), _residues(b, p)
-    if not a or not b:
-        return 0
-    if len(a) == 1:
-        return pow(a[0], len(b) - 1, p)
-    if len(b) == 1:
-        return pow(b[0], len(a) - 1, p)
-    res = 1
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            res = p - 1
-        a, b = b, a
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        r = _gf_divmod(a, b, p)[1]
-        if not r:
-            return 0
-        dr = len(r) - 1
-        res = res * pow(b[-1], da - dr, p) % p
-        if (da % 2 == 1) and (db % 2 == 1):
-            res = p - res
-        a, b = b, r
-        if dr == 0:
-            return res * pow(r[0], len(a) - 1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +757,6 @@ class BiPoly:
         return cls(((a,),) if a else (), outer, inner)
 
     @classmethod
-    def from_outer_poly(cls, p: IntPoly, inner: str) -> "BiPoly":
-        return cls(tuple((c,) for c in p.coeffs), p.var, inner)
-
-    @classmethod
     def from_inner_poly(cls, p: IntPoly, outer: str) -> "BiPoly":
         return cls((tuple(p.coeffs),) if not p.is_zero else (), outer, p.var)
 
@@ -937,17 +906,6 @@ class BiPoly:
         for p in reversed(polys):
             acc = acc * value + p.rename(other)
         return acc
-
-    def eval_at_rational(self, var: str, value: Fraction) -> list[Fraction]:
-        """Specialize one variable at a rational; ascending coefficients."""
-        polys = self.as_univariate_in(var)
-        width = max((p.degree for p in polys), default=-1) + 1
-        acc = [Fraction(0)] * width
-        for p in reversed(polys):
-            acc = [c * value for c in acc]
-            for i, c in enumerate(p.coeffs):
-                acc[i] += c
-        return _strip(acc)
 
     def eval_point(self, outer_value, inner_value):
         acc = 0
@@ -1168,45 +1126,55 @@ def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
 def _vector_resultants_mod_p(
     A: np.ndarray, B: np.ndarray, p: int
 ) -> np.ndarray:
-    """Resultants at many points at once; columns descending by degree.
+    """Resultants over GF(p) of the row pairs of A and B, one row per point.
 
-    Points whose remainder sequence degenerates are recomputed by the scalar
-    routine; the vector path handles the generic normal sequence.
+    Rows are coefficients in descending order, each with a nonzero leading
+    column.  Euclid runs on groups of rows that share a degree pair.  A
+    remainder with s extra leading zeros has degree dr = db - 1 - s, and
+    its row takes Res(a, b) = (-1)^(da*db) * lc(b)^(da - dr) * Res(b, r);
+    a zero remainder gives 0.  Groups that reach the same pair merge again,
+    so sparse inputs, whose degrees drop alike at every point, stay in one
+    group.
     """
-    npts = A.shape[0]
-    res = np.ones(npts, dtype=np.int64)
-    bad = np.zeros(npts, dtype=bool)
-    a, b = A % p, B % p
-    if a.shape[1] < b.shape[1]:
-        if (a.shape[1] - 1) % 2 == 1 and (b.shape[1] - 1) % 2 == 1:
-            res = (p - res) % p
-        a, b = b, a
-    while b.shape[1] > 1:
-        da, db = a.shape[1] - 1, b.shape[1] - 1
-        lead = b[:, 0].copy()
-        newly_bad = (lead == 0) & ~bad
-        bad |= newly_bad
-        lead[bad] = 1  # dummy pivot, results for bad points discarded later
-        inv = _pow_mod_vec(lead, p - 2, p)
+    out = np.zeros(A.shape[0], dtype=np.int64)
+    res = np.ones(A.shape[0], dtype=np.int64)
+    if A.shape[1] < B.shape[1]:
+        A, B = B, A
+        if (A.shape[1] - 1) * (B.shape[1] - 1) % 2:
+            res[:] = p - 1
+    # (deg a, deg b) -> parts (rows of out, a, b, running product) to merge
+    groups = {(A.shape[1] - 1, B.shape[1] - 1): [(np.arange(A.shape[0]), A % p, B % p, res)]}
+    while groups:
+        da, db = key = max(groups)
+        parts = groups.pop(key)
+        rows, a, b, res = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        if db == 0:
+            out[rows] = res * _pow_mod_vec(b[:, 0], da, p) % p
+            continue
+        inv = _pow_mod_vec(b[:, 0], p - 2, p)
         r = a.copy()
         for k in range(da - db + 1):
             f = r[:, k] * inv % p
             r[:, k : k + db + 1] = (r[:, k : k + db + 1] - f[:, None] * b) % p
         r = r[:, da - db + 1 :]
-        # generic sequence: remainder degree db-1 exactly
-        newly_bad = (r[:, 0] == 0) & ~bad
-        bad |= newly_bad
-        res = res * _pow_mod_vec(b[:, 0], da - (db - 1), p) % p
-        if (da % 2 == 1) and (db % 2 == 1):
-            res = (p - res) % p
-        a, b = b, r
-    res = res * _pow_mod_vec(b[:, 0], a.shape[1] - 1, p) % p
-    if bad.any():
-        for i in np.nonzero(bad)[0]:
-            res[i] = _scalar_resultant_mod_p(
-                [int(v) for v in A[i][::-1]], [int(v) for v in B[i][::-1]], p
-            )
-    return res
+        # leading zeros of each remainder (db when it is zero)
+        shifts = {0}
+        low = np.flatnonzero(r[:, 0] == 0)
+        if low.size:
+            nz = r[low] != 0
+            shift = np.zeros(rows.size, dtype=np.int64)
+            shift[low] = np.where(nz.any(axis=1), nz.argmax(axis=1), db)
+            shifts = set(shift.tolist())
+        for s in shifts:
+            sel = slice(None) if len(shifts) == 1 else shift == s
+            if s == db:
+                continue  # Res(a, b) = 0; out is zero there already
+            dr = db - 1 - s
+            part = res[sel] * _pow_mod_vec(b[sel, 0], da - dr, p) % p
+            if da * db % 2:
+                part = (p - part) % p
+            groups.setdefault((db, dr), []).append((rows[sel], b[sel], r[sel, s:], part))
+    return out
 
 
 def _newton_interpolate_mod_p(
@@ -1321,15 +1289,14 @@ def _resultant_points_modular(
     return IntPoly(_symmetric(acc, modulus), kept)
 
 
-def resultant(
-    A: BiPoly, B: BiPoly, eliminate: str, method: str = "auto"
-) -> IntPoly:
+def resultant(A: BiPoly, B: BiPoly, eliminate: str) -> IntPoly:
     """Sylvester resultant of A and B with respect to `eliminate`.
 
     Returns the signed resultant as a polynomial in the other variable.
-    Satisfies Res(A*B, C) = Res(A, C) * Res(B, C).  The "prs" route is
-    exact; the "modular" route stops on a stable CRT lift (see
-    _resultant_points_modular), so its result is not proven.
+    Satisfies Res(A*B, C) = Res(A, C) * Res(B, C).  Small inputs (degree
+    bound dk <= 64, height <= 2,048 bits) take the exact subresultant PRS
+    per point; larger ones the modular route, which stops on a stable CRT
+    lift (see _resultant_points_modular), so its result is not proven.
     """
     if A.vars != B.vars:
         raise ValueError(f"variable mismatch {A.vars} vs {B.vars}")
@@ -1345,15 +1312,10 @@ def resultant(
         )
     a_cols = A.as_univariate_in(eliminate)
     b_cols = B.as_univariate_in(eliminate)
-    if method == "auto":
-        dk = _degree_bound_kept(a_cols, b_cols)
-        bits = _det_height_bits(a_cols, b_cols, dk)
-        method = "prs" if dk <= 64 and bits <= 2048 else "modular"
-    if method == "prs":
+    dk = _degree_bound_kept(a_cols, b_cols)
+    if dk <= 64 and _det_height_bits(a_cols, b_cols, dk) <= 2048:
         return _resultant_points_bigint(a_cols, b_cols, kept)
-    if method == "modular":
-        return _resultant_points_modular(a_cols, b_cols, kept)
-    raise ValueError(f"unknown resultant method {method!r}")
+    return _resultant_points_modular(a_cols, b_cols, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from unicrit import cli
+from unicrit import cli, verify
 from unicrit.cli import COMMANDS, DEFAULT_ANGLES, main
 
 
@@ -286,6 +286,23 @@ def test_ray_trace_subnormal_potential_is_classified():
     assert "Traceback" not in proc.stderr, proc.stderr
     doc = json.loads(proc.stdout)
     assert (proc.returncode, doc["error"]["kind"]) == (1, "numeric")
+
+
+def test_internal_arithmetic_error_is_classified(monkeypatch):
+    # factorz's self-checks raise ArithmeticError; main reports it as an
+    # internal error document instead of letting a traceback escape
+    def failing_factor(poly):
+        raise ArithmeticError("factorization failed self-check")
+
+    monkeypatch.delenv("UNICRIT_CACHE", raising=False)
+    monkeypatch.setattr(verify, "factor", failing_factor)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, doc = run_json(["verify", "thm31", "--n", "2", "--t", "1", "--h", "1",
+                              "--tau", "2"])
+    assert "Traceback" not in err.getvalue()
+    assert (code, doc["error"]["kind"]) == (1, "internal")
+    assert doc["error"]["detail"] == "factorization failed self-check"
 
 
 def test_ray_angles_defaults():

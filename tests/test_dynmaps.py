@@ -250,13 +250,13 @@ def test_multiplier_resultant_numeric_orbit_oracle():
     q = multiplier_resultant(2, 2)
     mpmath.mp.prec = 100
     for cval in (Fraction(-3, 2), Fraction(-7, 4), Fraction(1, 3)):
-        phi = dynatomic(2, 2).eval_at_rational("c", cval)
+        phi = [col(cval) for col in dynatomic(2, 2).as_univariate_in("z")]
         roots = mpmath.polyroots([mpmath.mpf(x.numerator) / x.denominator
                                   for x in reversed(phi)], maxsteps=80)
         z1 = roots[0]
         z2 = z1 ** 2 + mpmath.mpf(cval.numerator) / cval.denominator
         w_numeric = (2 * z1) * (2 * z2)
-        vals = q.eval_at_rational("c", cval)
+        vals = [col(cval) for col in q.as_univariate_in("mu")]
         residual = mpmath.polyval(
             [mpmath.mpf(v.numerator) / v.denominator for v in reversed(vals)],
             w_numeric,

@@ -11,9 +11,11 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unicrit import polycore
+from unicrit.dynmaps import dynatomic, multiplier_poly
 from unicrit.polycore import (
     BiPoly,
     IntPoly,
@@ -39,8 +41,9 @@ from unicrit.polycore import (
     _gf_divmod,
     _gf_gcd,
     _prime_at,
+    _resultant_points_bigint,
     _resultant_points_modular,
-    _scalar_resultant_mod_p,
+    _vector_resultants_mod_p,
 )
 
 
@@ -417,7 +420,14 @@ def test_division_identity_prime_and_prime_power():
             assert _list_trim(total) == _list_trim([v % m for v in a]), (m, la, lb)
 
 
-def test_scalar_resultant_mod_p_matches_exact_resultant():
+def _vector_resultant_rows(rows_a, rows_b, p):
+    """The kernel on ascending coefficient lists of equal lengths per side."""
+    A = np.array([a[::-1] for a in rows_a], dtype=np.int64)
+    B = np.array([b[::-1] for b in rows_b], dtype=np.int64)
+    return [int(v) for v in _vector_resultants_mod_p(A, B, p)]
+
+
+def test_vector_resultant_mod_p_one_row_matches_exact_resultant():
     rng = random.Random(335)
     x = IntPoly.gen()
     for p in (5, 97, _prime_at(3)):
@@ -432,8 +442,52 @@ def test_scalar_resultant_mod_p_matches_exact_resultant():
                 B = B * (x - rng.randint(-3, 3))
             if A.lc % p == 0 or B.lc % p == 0:
                 continue  # reduction mod p would drop a degree
-            got = _scalar_resultant_mod_p(list(A.coeffs), list(B.coeffs), p)
-            assert got == resultant_univariate(A, B) % p, (p, A, B)
+            got = _vector_resultant_rows([list(A.coeffs)], [list(B.coeffs)], p)
+            assert got == [resultant_univariate(A, B) % p], (p, A, B)
+
+
+def test_vector_resultant_mod_p_many_rows_with_degree_drops():
+    # one call holds rows whose remainder sequences drop degree in different
+    # places: dense, sparse (every other coefficient zero), sharing a root
+    # (resultant 0), constant, in both argument orders with odd degrees
+    rng = random.Random(336)
+
+    def row(p, d, sparse):
+        c = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        return [0 if sparse and (d - i) % 2 else v for i, v in enumerate(c)]
+
+    def with_root(c, r, p):  # c * (x - r)
+        out = [0] + c
+        for i, v in enumerate(c):
+            out[i] -= r * v
+        return [v % p for v in out]
+
+    for p in (3, 5, 7, _prime_at(0)):
+        for da, db in ((0, 0), (0, 5), (4, 0), (5, 3), (3, 5), (7, 7), (6, 9), (9, 2)):
+            rows_a, rows_b = [], []
+            for i in range(24):
+                if i % 4 == 3 and da and db:
+                    r = rng.randrange(p)
+                    rows_a.append(with_root(row(p, da - 1, False), r, p))
+                    rows_b.append(with_root(row(p, db - 1, True), r, p))
+                else:
+                    rows_a.append(row(p, da, i % 4 > 0))
+                    rows_b.append(row(p, db, i % 4 == 1))
+            got = _vector_resultant_rows(rows_a, rows_b, p)
+            want = [
+                resultant_univariate(IntPoly(a), IntPoly(b)) % p
+                for a, b in zip(rows_a, rows_b)
+            ]
+            assert got == want, (p, da, db)
+
+
+def test_resultant_modular_route_sparse_in_z():
+    # Phi_2 against Psi_1(W) for n = 2: W - 1 = 4z^3 + 4cz - 1 has no z^2 term
+    phi = dynatomic(2, 2)
+    B = multiplier_poly(2, 2) - 1
+    a_cols, b_cols = phi.as_univariate_in("z"), B.as_univariate_in("z")
+    want = _resultant_points_bigint(a_cols, b_cols, "c")
+    assert _resultant_points_modular(a_cols, b_cols, "c") == want
 
 
 def test_squarefree_part_table():
@@ -528,7 +582,6 @@ def test_bipoly_eval_at():
     assert at2.var == "z" and at2.coeffs == (2, 0, 0, 1)
     atz = p.eval_at("z", -1)
     assert atz.var == "c" and atz.coeffs == (-1, 1)
-    assert p.eval_at_rational("c", Fraction(1, 2)) == [Fraction(1, 2), 0, 0, 1]
 
 
 def test_bipoly_divexact_roundtrip_both_directions():
@@ -634,8 +687,9 @@ def test_resultant_methods_agree():
     for _ in range(4):
         A = rand_bipoly(rng, 3, 3, bound=99)
         B = rand_bipoly(rng, 3, 3, bound=99)
-        r1 = resultant(A, B, eliminate="z", method="prs")
-        r2 = resultant(A, B, eliminate="z", method="modular")
+        a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
+        r1 = _resultant_points_bigint(a_cols, b_cols, "c")
+        r2 = _resultant_points_modular(a_cols, b_cols, "c")
         assert r1 == r2
 
 
@@ -650,7 +704,7 @@ def test_resultant_certified_route_matches_early_stop(monkeypatch):
         A = rand_bipoly(rng, do, di, bound=bound)
         B = rand_bipoly(rng, di, do, bound=bound)
         a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
-        want = resultant(A, B, eliminate="z", method="prs")
+        want = _resultant_points_bigint(a_cols, b_cols, "c")
         used.clear()
         assert _resultant_points_modular(a_cols, b_cols, "c", certified=True) == want
         dk = polycore._degree_bound_kept(a_cols, b_cols)
