@@ -33,7 +33,7 @@ from .polycore import (
     root_scale_transform,
     squarefree_part,
 )
-from .polycore import _candidate_points, _newton_interpolate_fractions
+from .polycore import _interpolate, _point_run
 
 __all__ = [
     "COORDINATES",
@@ -325,18 +325,18 @@ def _multiplier_resultant(n: int, h: int) -> BiPoly:
     W = _multiplier(n, h)
     dmu = phi.degree("z")
     dbound = dmu * W.degree("c") + W.degree("z") * phi.degree("c")
-    pts = _candidate_points(
+    start = _point_run(
         phi.as_univariate_in("z")[-1], W.as_univariate_in("z")[-1], dbound + 1
     )
     vals = []
-    for x in pts:
+    for x in range(start, start + dbound + 1):
         A = BiPoly.from_inner_poly(phi.eval_at("c", x), outer="mu")
         B = BiPoly.gen("mu", "mu", "z") - BiPoly.from_inner_poly(
             W.eval_at("c", x), outer="mu"
         )
         vals.append(resultant(A, B, eliminate="z"))
     cols = [
-        _newton_interpolate_fractions(pts, [v.coeff(j) for v in vals], "c")
+        _interpolate(start, [v.coeff(j) for v in vals], "c")
         for j in range(dmu + 1)
     ]
     return BiPoly.from_univariate(cols, var="mu", outer="c", inner="mu")

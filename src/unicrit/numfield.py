@@ -108,10 +108,6 @@ class RatPoly:
             raise ValueError("polynomial has non-integer coefficients")
         return IntPoly(tuple(int(c) for c in self.coeffs), self.var)
 
-    @classmethod
-    def from_intpoly(cls, p: IntPoly) -> "RatPoly":
-        return cls(tuple(Fraction(c) for c in p.coeffs), p.var)
-
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [str(c) for c in self.coeffs]}
 

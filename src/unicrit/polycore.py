@@ -6,7 +6,8 @@ integers, with the elimination toolkit the rest of the package is built on:
 * resultants, by subresultant PRS per evaluation point and by
   evaluation-interpolation over integer points (the two routes cross-check
   each other in the test suite);
-* primitive gcd and squarefree part via the subresultant PRS;
+* primitive gcd via the subresultant PRS, whose one loop also serves the
+  resultant, and a certified modular gcd, which squarefree_part uses;
 * cyclotomic polynomials, the Moebius function;
 * root transforms (alpha -> alpha^k and alpha -> s*alpha).
 
@@ -23,6 +24,12 @@ arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
 gcd, symmetric lift and CRT step.  factorz builds on it.  GF(p)
 resultants have one routine too, _vector_resultants_mod_p, which takes a
 batch of evaluation points as numpy rows.
+
+Both resultant routes evaluate at one run of consecutive integers s, s+1,
+..., the first at which no leading coefficient in the eliminated variable
+vanishes (s = 0 for every caller in the package).  Level j of the divided
+differences then divides by j: exactly in Z on the bigint route, by one
+scalar inverse on the modular one.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -530,6 +537,23 @@ class IntPoly:
 # subresultant PRS: resultant and gcd
 
 
+def _subresultant_prs(a: IntPoly, b: IntPoly) -> Iterator[tuple[IntPoly, IntPoly, int]]:
+    """Subresultant PRS from deg a >= deg b: yields each pair (a, b) with
+    its running h; the last pair has b zero or constant."""
+    g = h = 1
+    while True:
+        yield a, b, h
+        if b.degree <= 0:
+            return
+        delta = a.degree - b.degree
+        divisor = g * h ** delta
+        r = a.pseudo_rem(b)
+        a, b = b, IntPoly(tuple(c // divisor for c in r.coeffs), a.var)
+        g = a.lc
+        if delta:
+            h = g ** delta // h ** (delta - 1)  # exact by subresultant theory
+
+
 def resultant_univariate(A: IntPoly, B: IntPoly) -> int:
     """Exact signed resultant of two univariate integer polynomials.
 
@@ -551,24 +575,11 @@ def resultant_univariate(A: IntPoly, B: IntPoly) -> int:
         if a.degree % 2 == 1 and b.degree % 2 == 1:
             sign = -sign
         a, b = b, a
-    g = 1
-    h = 1
-    while True:
-        da, db = a.degree, b.degree
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
+    for a, b, h in _subresultant_prs(a, b):
+        if a.degree % 2 == 1 and b.degree % 2 == 1:
             sign = -sign
-        r = a.pseudo_rem(b)
-        if r.is_zero:
-            return 0  # common factor of positive degree
-        divisor = g * h ** delta
-        r = IntPoly(tuple(c // divisor for c in r.coeffs), a.var)
-        a, b = b, r
-        g = a.lc
-        if delta:
-            h = g ** delta // h ** (delta - 1)  # exact by subresultant theory
-        if b.degree == 0:
-            break
+    if b.is_zero:
+        return 0  # common factor of positive degree
     da = a.degree
     num = b.lc ** da
     if da <= 1:
@@ -597,27 +608,16 @@ def gcd_subresultant(A: IntPoly, B: IntPoly) -> IntPoly:
     b = B.primitive_part()
     if a.degree < b.degree:
         a, b = b, a
-    g = 1
-    h = 1
-    while True:
-        if b.degree == 0:
-            return IntPoly.const(cont, A.var)
-        r = a.pseudo_rem(b)
-        if r.is_zero:
-            return b.primitive_part() * cont
-        delta = a.degree - b.degree
-        divisor = g * h ** delta
-        r = IntPoly(tuple(c // divisor for c in r.coeffs), a.var)
-        a, b = b, r
-        g = a.lc
-        if delta:
-            h = g ** delta // h ** (delta - 1)
+    for a, b, _ in _subresultant_prs(a, b):
+        pass
+    # the last nonzero remainder; a constant one has primitive part 1
+    return (a if b.is_zero else b).primitive_part() * cont
 
 
 def gcd_fast(A: IntPoly, B: IntPoly) -> IntPoly:
     """Primitive gcd, modular fast path with exact verification.
 
-    Sound shortcut around gcd_subresultant for huge operands: a prime with
+    Sound shortcut around gcd_subresultant, used at every size: a prime with
     gcd of degree zero certifies coprimality outright; otherwise a CRT
     candidate is accepted only after exact division into both inputs plus a
     single-prime degree certificate, which together pin the gcd exactly.
@@ -681,8 +681,7 @@ def squarefree_part(A: IntPoly) -> IntPoly:
     p = A.primitive_part()
     if p.degree <= 1:
         return p
-    big = p.degree > 96 or p.max_coeff_bits() > 1024
-    g = gcd_fast(p, p.derivative()) if big else gcd_subresultant(p, p.derivative())
+    g = gcd_fast(p, p.derivative())
     if g.degree == 0:
         return p
     return p.divexact(g).primitive_part()
@@ -961,13 +960,6 @@ class BiPoly:
         outer, inner = self.outer, self.inner
         return BiPoly.from_univariate(q, var, outer, inner)
 
-    def swap_vars(self) -> "BiPoly":
-        width = self.degree(self.inner) + 1
-        rows = [
-            tuple(r[j] if j < len(r) else 0 for r in self.rows) for j in range(width)
-        ]
-        return BiPoly(rows, self.inner, self.outer)
-
 
 def _bi_image(f: BiPoly, p: int) -> np.ndarray:
     """f mod p as an int64 matrix: rows along the outer variable."""
@@ -1063,52 +1055,50 @@ def _det_height_bits(a_cols: list[IntPoly], b_cols: list[IntPoly], dk: int) -> i
     return int(log_fact + n * h + max(n - 1, 0) * math.log2(dk + 2)) + 4
 
 
-def _candidate_points(lc_a: IntPoly, lc_b: IntPoly, count: int) -> list[int]:
-    pts: list[int] = []
-    t = 0
-    while len(pts) < count:
-        for x in ((0,) if t == 0 else (t, -t)):
-            if lc_a(x) != 0 and lc_b(x) != 0:
-                pts.append(x)
-                if len(pts) == count:
-                    break
-        t += 1
-    return pts
+def _point_run(lc_a: IntPoly, lc_b: IntPoly, count: int) -> int:
+    """First s >= 0 with neither leading coefficient zero on s, ..., s+count-1."""
+    s = x = 0
+    while x < s + count:
+        if lc_a(x) == 0 or lc_b(x) == 0:
+            s = x + 1
+        x += 1
+    return s
 
 
-def _newton_interpolate_fractions(pts: list[int], vals: list[int], var: str) -> IntPoly:
-    n = len(pts)
-    dd = [Fraction(v) for v in vals]
+def _interpolate(start: int, vals: list[int], var: str) -> IntPoly:
+    """The integer polynomial of degree < len(vals) taking vals[i] at start + i.
+
+    On consecutive nodes level j of the divided differences divides by j,
+    and the divided differences of an integer polynomial at integer nodes
+    are integers, so a remainder means there is no such polynomial.
+    """
+    n = len(vals)
+    dd = list(vals)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (pts[i] - pts[i - j])
-    coeffs = [Fraction(0)] * n
+            dd[i], rem = divmod(dd[i] - dd[i - 1], j)
+            if rem:
+                raise ArithmeticError("interpolation produced non-integer coefficients")
+    coeffs = [0] * n
     for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs*(x - pts[k]) + dd[k]
-        new = [Fraction(0)] * n
-        for i in range(n - 1):
-            if coeffs[i]:
-                new[i + 1] += coeffs[i]
-                new[i] -= coeffs[i] * pts[k]
-        new[0] += dd[k]
-        coeffs = new
-    if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError("interpolation produced non-integer coefficients")
-    return IntPoly(tuple(int(c) for c in coeffs), var)
+        # coeffs <- coeffs*(t - x) + dd[k] at the node x = start + k
+        x = start + k
+        coeffs = [u - x * v for u, v in zip([dd[k]] + coeffs[:-1], coeffs)]
+    return IntPoly(coeffs, var)
 
 
 def _resultant_points_bigint(
     a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str
 ) -> IntPoly:
     dk = _degree_bound_kept(a_cols, b_cols)
-    pts = _candidate_points(a_cols[-1], b_cols[-1], dk + 1)
+    start = _point_run(a_cols[-1], b_cols[-1], dk + 1)
     evar = "_t"
     vals = []
-    for x in pts:
+    for x in range(start, start + dk + 1):
         ax = IntPoly(tuple(p(x) for p in a_cols), evar)
         bx = IntPoly(tuple(p(x) for p in b_cols), evar)
         vals.append(resultant_univariate(ax, bx))
-    return _newton_interpolate_fractions(pts, vals, kept)
+    return _interpolate(start, vals, kept)
 
 
 def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -1177,38 +1167,29 @@ def _vector_resultants_mod_p(
     return out
 
 
-def _newton_interpolate_mod_p(
-    xs: np.ndarray, ys: np.ndarray, p: int
-) -> np.ndarray:
-    """Monomial coefficients (ascending) of the interpolant over GF(p)."""
-    m = xs.size
-    dd = ys.copy() % p
+def _newton_interpolate_mod_p(start: int, ys: np.ndarray, p: int) -> np.ndarray:
+    """Monomial coefficients (ascending) over GF(p) of the interpolant
+    taking ys[i] at start + i; level j of the divided differences divides by j."""
+    m = ys.size
+    dd = ys % p
     for j in range(1, m):
-        denom = (xs[j:] - xs[: m - j]) % p
-        dd[j:] = (dd[j:] - dd[j - 1 : m - 1]) * _pow_mod_vec(denom, p - 2, p) % p
+        dd[j:] = (dd[j:] - dd[j - 1 : m - 1]) * pow(j, -1, p) % p
     coeffs = np.zeros(m, dtype=np.int64)
     for k in range(m - 1, -1, -1):
-        shifted = np.zeros(m, dtype=np.int64)
-        shifted[1:] = coeffs[: m - 1]
-        coeffs = (shifted - coeffs * xs[k]) % p
-        coeffs[0] = (coeffs[0] + dd[k]) % p
+        shifted = np.concatenate((dd[k : k + 1], coeffs[:-1]))
+        coeffs = (shifted - coeffs * ((start + k) % p)) % p
     return coeffs
 
 
 def _resultant_image_mod_p(
-    a_cols: list[IntPoly], b_cols: list[IntPoly], pts_all: list[int],
-    p: int, width: int,
+    a_cols: list[IntPoly], b_cols: list[IntPoly], start: int, p: int, width: int
 ) -> list[int] | None:
-    """Ascending coefficients mod p of the kept-variable resultant.
+    """Ascending coefficients mod p of the kept-variable resultant, from
+    the points start, ..., start + width - 1.
 
-    None when the prime leaves too few usable evaluation points.
+    None when p divides a leading coefficient at one of the points.
     """
-    lca = IntPoly(tuple(c % p for c in a_cols[-1].coeffs), "t")
-    lcb = IntPoly(tuple(c % p for c in b_cols[-1].coeffs), "t")
-    good = [x for x in pts_all if lca(x) % p != 0 and lcb(x) % p != 0]
-    if len(good) < width:
-        return None
-    pts = np.array(good[:width], dtype=np.int64) % p
+    pts = np.arange(start, start + width, dtype=np.int64) % p
 
     def col_matrix(cols: list[IntPoly]) -> np.ndarray:
         out = np.empty((pts.size, len(cols)), dtype=np.int64)
@@ -1219,8 +1200,11 @@ def _resultant_image_mod_p(
             out[:, j] = accv
         return out[:, ::-1]  # descending degree
 
-    vals = _vector_resultants_mod_p(col_matrix(a_cols), col_matrix(b_cols), p)
-    return [int(v) for v in _newton_interpolate_mod_p(pts, vals, p)]
+    a, b = col_matrix(a_cols), col_matrix(b_cols)
+    if not (a[:, 0].all() and b[:, 0].all()):
+        return None
+    vals = _vector_resultants_mod_p(a, b, p)
+    return [int(v) for v in _newton_interpolate_mod_p(start, vals, p)]
 
 
 def _resultant_points_modular(
@@ -1234,23 +1218,25 @@ def _resultant_points_modular(
     (a prime can only lower it, never raise it); the remaining primes run
     at that width and accumulate by incremental CRT until the symmetric
     lift survives two extra primes unchanged.  That stop is a heuristic,
-    not a proof; the bit bound stays as the unconditional stop.
+    not a proof; the bit bound stays as the unconditional stop.  Every
+    prime evaluates at the same run of consecutive points (_point_run);
+    a prime that divides a leading coefficient at one of them is skipped.
 
     certified=True skips both shortcuts: every prime runs at the full width
     dk + 1 until the modulus passes the bit bound, so the result is proven.
     """
     dk = _degree_bound_kept(a_cols, b_cols)
     bound_bits = _det_height_bits(a_cols, b_cols, dk)
-    pts_all = _candidate_points(a_cols[-1], b_cols[-1], dk + 1 + 24)
+    start = _point_run(a_cols[-1], b_cols[-1], dk + 1)
     idx = 0
 
     def image(width: int) -> tuple[int, list[int]]:
-        # the next prime that leaves enough usable evaluation points
+        # the next prime that divides no leading coefficient at the points
         nonlocal idx
         while True:
             p = _prime_at(idx)
             idx += 1
-            img = _resultant_image_mod_p(a_cols, b_cols, pts_all, p, width)
+            img = _resultant_image_mod_p(a_cols, b_cols, start, p, width)
             if img is not None:
                 return p, img
 
@@ -1371,17 +1357,3 @@ def poly_to_json(p: IntPoly) -> dict:
 
 def poly_from_json(obj: dict) -> IntPoly:
     return IntPoly(tuple(int(s) for s in obj["coeffs"]), obj["var"])
-
-
-def bipoly_to_json(p: BiPoly) -> dict:
-    return {
-        "vars": [p.outer, p.inner],
-        "coeffs": [[str(v) for v in row] for row in p.rows],
-    }
-
-
-def bipoly_from_json(obj: dict) -> BiPoly:
-    outer, inner = obj["vars"]
-    return BiPoly(
-        tuple(tuple(int(v) for v in row) for row in obj["coeffs"]), outer, inner
-    )

@@ -274,19 +274,21 @@ def test_multiplier_resultant_orbit_power_structure():
         assert dmu % h == 0
         cols_mu = q.as_univariate_in("mu")
         assert cols_mu[-1] == IntPoly((1,), "c")  # monic in mu
-        pts, per_point = [], []
+        # a run of consecutive points start, start + 1, ... where q is good
+        start, per_point = 0, []
         x = 0
-        while len(pts) < dc + 1:
+        while len(per_point) < dc + 1:
             qx = IntPoly(tuple(p(x) for p in cols_mu), "mu")
             sx = squarefree_part(qx)
             if sx.degree == dmu // h and sx.lc == 1:
-                pts.append(x)
                 per_point.append(sx)
-            x = -x + (1 if x <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-        from unicrit.polycore import _newton_interpolate_fractions
+            else:
+                start, per_point = x + 1, []
+            x += 1
+        from unicrit.polycore import _interpolate
 
         cols = [
-            _newton_interpolate_fractions(pts, [s.coeff(j) for s in per_point], "c")
+            _interpolate(start, [s.coeff(j) for s in per_point], "c")
             for j in range(dmu // h + 1)
         ]
         s = BiPoly.from_univariate(cols, var="mu", outer="c", inner="mu")

@@ -20,8 +20,6 @@ from unicrit.polycore import (
     BiPoly,
     IntPoly,
     NotDivisibleError,
-    bipoly_from_json,
-    bipoly_to_json,
     cyclotomic,
     euler_phi,
     gcd_fast,
@@ -40,7 +38,11 @@ from unicrit.polycore import (
     _bipoly_mul_modular,
     _gf_divmod,
     _gf_gcd,
+    _interpolate,
+    _newton_interpolate_mod_p,
+    _point_run,
     _prime_at,
+    _resultant_image_mod_p,
     _resultant_points_bigint,
     _resultant_points_modular,
     _vector_resultants_mod_p,
@@ -490,6 +492,59 @@ def test_resultant_modular_route_sparse_in_z():
     assert _resultant_points_modular(a_cols, b_cols, "c") == want
 
 
+def test_resultant_image_skips_prime_dividing_leading_coefficient():
+    # the z-leading coefficient c + p0 vanishes mod p0 at the point c = 0
+    p0, p1 = _prime_at(0), _prime_at(1)
+    c, z = BiPoly.gen("c", "c", "z"), BiPoly.gen("z", "c", "z")
+    A = (c + p0) * z ** 2 + c * z - 3
+    B = z ** 3 - c * z + 2 * c + 5
+    a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
+    width = polycore._degree_bound_kept(a_cols, b_cols) + 1
+    assert _point_run(a_cols[-1], b_cols[-1], width) == 0
+    assert _resultant_image_mod_p(a_cols, b_cols, 0, p0, width) is None
+    want = _resultant_points_bigint(a_cols, b_cols, "c")
+    img = _resultant_image_mod_p(a_cols, b_cols, 0, p1, width)
+    assert img == [want.coeff(i) % p1 for i in range(width)]
+    assert _resultant_points_modular(a_cols, b_cols, "c") == want
+
+
+def test_point_run_starts_after_integer_roots_of_leading_coefficients():
+    lc_a = IntPoly((3, -4, 1), "c")  # (c - 1)(c - 3)
+    one = IntPoly((1,), "c")
+    assert _point_run(lc_a, one, 1) == 0
+    assert _point_run(lc_a, one, 2) == 4
+    assert _point_run(one, lc_a, 5) == 4
+    assert _point_run(lc_a, IntPoly((-5, 1), "c"), 2) == 6
+    c, z = BiPoly.gen("c", "c", "z"), BiPoly.gen("z", "c", "z")
+    A = (c - 1) * (c - 3) * z ** 2 + c * z - 3
+    B = (c - 5) * z ** 3 - c * z + 2 * c + 5
+    a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
+    want = _resultant_points_bigint(a_cols, b_cols, "c")
+    assert _resultant_points_modular(a_cols, b_cols, "c") == want
+    for v in (-2, 4, 7):
+        assert want(v) == sylvester_det(A.eval_at("c", v).coeffs, B.eval_at("c", v).coeffs)
+
+
+def test_interpolate_consecutive_points():
+    rng = random.Random(337)
+    for start in (0, 7):
+        for n in (1, 2, 9, 30):
+            f = IntPoly([rng.randint(-10 ** 20, 10 ** 20) for _ in range(n)], "x")
+            assert _interpolate(start, [f(start + i) for i in range(n)], "x") == f
+    with pytest.raises(ArithmeticError):
+        _interpolate(0, [0, 0, 1], "x")  # x(x - 1)/2
+
+
+def test_newton_interpolate_mod_p_round_trip():
+    rng = random.Random(338)
+    for p in (10007, (1 << 25) - 39):
+        for start in (0, 7):
+            f = IntPoly([rng.randrange(p) for _ in range(40)], "x")
+            ys = np.array([f(start + i) % p for i in range(40)], dtype=np.int64)
+            got = _newton_interpolate_mod_p(start, ys, p).tolist()
+            assert got == [f.coeff(i) for i in range(40)], (p, start)
+
+
 def test_squarefree_part_table():
     x = IntPoly.gen()
     assert squarefree_part((x - 1) ** 2 * (x + 2)) == (x - 1) * (x + 2)
@@ -608,15 +663,6 @@ def test_bipoly_derivative():
     p = z ** 3 + c * z + c
     assert p.derivative("z") == 3 * z ** 2 + c
     assert p.derivative("c") == z + 1
-
-
-def test_bipoly_swap_vars():
-    rng = random.Random(666)
-    a = rand_bipoly(rng, 3, 2)
-    s = a.swap_vars()
-    assert s.outer == "z" and s.inner == "c"
-    assert s.eval_point(5, -3) == a.eval_point(-3, 5)
-    assert s.swap_vars() == a
 
 
 def test_bipoly_modular_mul_matches_naive():
@@ -787,9 +833,3 @@ def test_poly_json_roundtrip():
     assert obj["coeffs"][0] == str(10 ** 50)
     assert poly_from_json(obj) == p
 
-
-def test_bipoly_json_roundtrip():
-    p = BiPoly(((1, -(10 ** 30)), (0, 2)), "c", "z")
-    obj = bipoly_to_json(p)
-    assert obj["vars"] == ["c", "z"]
-    assert bipoly_from_json(obj) == p
