@@ -1,10 +1,11 @@
 """A/B benchmark of two source checkouts, in alternating pairs.
 
     python3 tools/perfpair.py --parent DIR --change DIR --workload W \
-        [--pairs 10] [--seconds 26] [--out BENCH_<pr>.json]
+        [--pairs 10] [--out BENCH_<pr>.json]
 
 Pair i runs `perfbench/run.py --workload W --seed i --seconds S --trace 0`
-once in each checkout, each from the checkout's own root, with the parent
+once in each checkout, where S is the `run_seconds` of the parent's
+BENCHMARK.json, each from the checkout's own root, with the parent
 first in odd pairs and the change first in even ones, so a drift of the
 machine's speed does not favour one side.  A run that is not `correct` or
 that reports failed calls stops the tool with an error.
@@ -85,22 +86,22 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=26)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     runs = []
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         run = {"seed": seed, "first": order[0]}
         for side in order:
-            run[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            run[side] = run_once(getattr(args, side), args.workload, seed, seconds)
         runs.append(run)
         print(f"pair {seed}: " + json.dumps(run), file=sys.stderr, flush=True)
     stats = compare(metrics, runs)
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        doc[args.workload] = {"seconds": args.seconds, "runs": runs, "metrics": stats}
+        doc[args.workload] = {"seconds": seconds, "runs": runs, "metrics": stats}
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(table_row(args.workload, len(runs), stats))
     return 0
