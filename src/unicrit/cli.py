@@ -8,6 +8,7 @@ shape {"error": {"kind": ..., "detail": ...}}.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -45,7 +46,7 @@ from .raytrace import (
     trace_param_ray,
 )
 from .verify import (
-    SweepCaps,
+    SWEEP_DEGREE_CAP,
     galois_experiment,
     sweep_thm_1_4,
     sweep_thm_3_1,
@@ -250,8 +251,7 @@ _SWEEP_READS = {"thm14": ("ns", "r_max", "degree_cap"), "thm31": ("ns", "sum_max
 
 def _verify_sweep(ns):
     if ns.claim == "thm14":
-        caps = SweepCaps(max_dynatomic_degree=ns.degree_cap)
-        reports = sweep_thm_1_4(ns=ns.ns, r_max=ns.r_max, caps=caps)
+        reports = sweep_thm_1_4(ns=ns.ns, r_max=ns.r_max, degree_cap=ns.degree_cap)
     else:
         reports = sweep_thm_3_1(ns=ns.ns, sum_max=ns.sum_max, gleason_h_max=ns.gleason_h_max)
     return {"claim": ns.claim, "verdict": sweep_verdict(reports),
@@ -419,7 +419,7 @@ COMMANDS = (
         ("--ns", {"type": _parse_int_list, "default": "2,3,4",
                   "help": "comma-separated degrees n"}),
         _opt("--r-max", 6), _opt("--sum-max", 6), _opt("--gleason-h-max", 5),
-        _opt("--degree-cap", SweepCaps().max_dynatomic_degree),
+        _opt("--degree-cap", SWEEP_DEGREE_CAP),
     ), timings=True, reads=lambda ns: ("claim",) + _SWEEP_READS[ns.claim]),
     Command("ray/trace", cmd_ray_trace, _ints("--n") + (
         _ANGLE, _opt("--potential-start", 32.0, float), _opt("--potential-end", 1e-8, float),
@@ -459,6 +459,7 @@ def _run(cmd: Command, ns):
     return _with_cache(ns, key, lambda: cmd.build(ns))
 
 
+@functools.cache  # COMMANDS is immutable and parse_args keeps no state
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")

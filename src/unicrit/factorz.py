@@ -374,12 +374,17 @@ def _mignotte_bound(G: IntPoly) -> int:
     return (math.isqrt(n + 1) + 1) * (1 << n) * norm + 1
 
 
-def _candidate_primes(G: IntPoly, how_many: int = 8) -> list[int]:
+# Zassenhaus counts the factors mod this many primes of good reduction and
+# lifts from the prime with the fewest
+_CANDIDATE_PRIMES = 8
+
+
+def _candidate_primes(G: IntPoly) -> list[int]:
     """Odd primes >= 5 of good reduction: lc survives, image squarefree."""
     out = []
     p = 3
     gp = G.derivative()
-    while len(out) < how_many and p < 10_000:
+    while len(out) < _CANDIDATE_PRIMES and p < 10_000:
         p += 2
         if not _is_prime(p):
             continue

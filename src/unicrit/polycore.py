@@ -16,8 +16,13 @@ arbitrary-precision; nothing ever rounds.  Large bivariate eliminations are
 computed through mod-p images recombined by CRT.  The default modular route
 stops once the symmetric lift survives two extra primes unchanged, which is
 a heuristic, not a proof: only its fallback runs to the rigorous
-Sylvester-determinant height bound.  gcd_fast and product_equals do certify
-what they return.
+Sylvester-determinant height bound.  gcd_fast certifies what it returns, and
+product_equals compares an exact product.
+
+Every polynomial product, over Z or Z/m, univariate or bivariate, is one
+call of _zmul: schoolbook for short factors, one big-integer product by
+Kronecker substitution for longer ones.  A BiPoly product lays its rows end
+to end at a stride no row product can overrun.
 
 The modular kernel section is the package's one copy of coefficient-list
 arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
@@ -144,9 +149,10 @@ def _prime_at(index: int) -> int:
 # are reduced into [0, m) and normalized (no high zero; the zero polynomial
 # is []), and so must inputs be, except that the GF(p) gcd reduces its own.
 
-# Above this many terms (of the shorter factor) a product over Z/m is one
-# big-integer multiplication (Kronecker substitution) instead of schoolbook.
-# Measured crossover: ~10 terms at 60-bit moduli, ~24 at 600-bit ones.
+# Above this many terms (of the shorter factor) a product over Z or Z/m is
+# one big-integer multiplication (Kronecker substitution) instead of
+# schoolbook.  Measured crossover over Z/m: ~10 terms at 60-bit moduli, ~24
+# at 600-bit ones.
 _KRONECKER_MIN_TERMS = 16
 # Euclid steps whose divisor has this degree or more run on int64 vectors,
 # smaller ones on lists: a vector step costs a few numpy calls, a list step
@@ -184,28 +190,43 @@ def _crt(acc: list[int], m: int, img: list[int], p: int) -> tuple[list[int], int
     return [r + m * ((s - r) * inv % p) for r, s in zip(acc, img)], m * p
 
 
-def _bmul(a: list[int], b: list[int], m: int) -> list[int]:
-    """Product over Z/m."""
+def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product over Z of two ascending coefficient sequences of any sign.
+
+    The package's one convolution: IntPoly, BiPoly and Z/m products all
+    call it.
+    """
     if not a or not b:
         return []
     n = len(a) + len(b) - 1
     if min(len(a), len(b)) > _KRONECKER_MIN_TERMS:
-        # evaluate both at 2^(8w), multiply once, read the coefficients back
-        # off the bytes: w bytes hold every coefficient of the product
-        bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-        w = bits // 8 + 1
-        A, B = (
-            int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
-            for v in (a, b)
-        )
-        raw = (A * B).to_bytes(n * w, "little")
-        return _residues((int.from_bytes(raw[i : i + w], "little") for i in range(0, n * w, w)), m)
+        # evaluate both at X = 2^(8w), multiply once, read the coefficients
+        # back off the bytes: w bytes hold every coefficient of the product.
+        # With a negative input each slot is biased by h = 2^(8w-1), which
+        # keeps it in [0, X), so no slot borrows from the next.
+        signed = min(a) < 0 or min(b) < 0
+        top = (lambda v: max(map(abs, v))) if signed else max
+        w = (top(a).bit_length() + top(b).bit_length() + min(len(a), len(b)).bit_length()) // 8 + 1
+        h = 1 << (8 * w - 1) if signed else 0
+        bias = b"\0" * (w - 1) + b"\x80" if signed else b""
+
+        def pack(v: Sequence[int]) -> int:
+            packed = b"".join((c + h if h else c).to_bytes(w, "little") for c in v)
+            return int.from_bytes(packed, "little") - int.from_bytes(bias * len(v), "little")
+
+        raw = (pack(a) * pack(b) + int.from_bytes(bias * n, "little")).to_bytes(n * w, "little")
+        return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, n * w, w)]
     out = [0] * n
     for i, u in enumerate(a):
         if u:
             for j, v in enumerate(b):
                 out[i + j] += u * v
-    return _residues(out, m)
+    return out
+
+
+def _bmul(a: list[int], b: list[int], m: int) -> list[int]:
+    """Product over Z/m."""
+    return _residues(_zmul(a, b), m)
 
 
 def _badd(a: list[int], b: list[int], m: int) -> list[int]:
@@ -388,16 +409,7 @@ class IntPoly:
             if other == 0:
                 return IntPoly.zero(self.var)
             return IntPoly(tuple(other * v for v in self.coeffs), self.var)
-        if self.is_zero or other.is_zero:
-            return IntPoly.zero(self.var)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    if v:
-                        out[i + j] += u * v
-        return IntPoly(out, self.var)
+        return IntPoly(_zmul(self.coeffs, other.coeffs), self.var)
 
     __rmul__ = __mul__
 
@@ -842,15 +854,6 @@ class BiPoly:
             other = BiPoly.const(other, self.outer, self.inner)
         return self + (-other)
 
-    def max_coeff_bits(self) -> int:
-        return max(
-            (abs(v).bit_length() for r in self.rows for v in r),
-            default=0,
-        )
-
-    def term_count(self) -> int:
-        return sum(1 for r in self.rows for v in r if v)
-
     def __mul__(self, other: "BiPoly | int") -> "BiPoly":
         if isinstance(other, int):
             if other == 0:
@@ -863,24 +866,14 @@ class BiPoly:
         self._check_same(other)
         if self.is_zero or other.is_zero:
             return BiPoly.zero(self.outer, self.inner)
-        cells = (self.degree(self.outer) + 1) * (self.degree(self.inner) + 1)
-        cells_o = (other.degree(other.outer) + 1) * (other.degree(other.inner) + 1)
-        if cells * cells_o > 4_000_000:
-            return _bipoly_mul_modular(self, other)
-        out = [
-            [0] * (self.degree(self.inner) + other.degree(other.inner) + 1)
-            for _ in range(len(self.rows) + len(other.rows) - 1)
-        ]
-        for i, ra in enumerate(self.rows):
-            for j, u in enumerate(ra):
-                if not u:
-                    continue
-                for k, rb in enumerate(other.rows):
-                    row = out[i + k]
-                    for l, v in enumerate(rb):
-                        if v:
-                            row[j + l] += u * v
-        return BiPoly(out, self.outer, self.inner)
+        # outer^i * inner^j -> inner^(i*width + j): no row product reaches
+        # the next row, so one product over Z holds every coefficient
+        width = len(self.rows[0]) + len(other.rows[0]) - 1
+        a, b = ([v for r in f.rows for v in r + (0,) * (width - len(r))] for f in (self, other))
+        flat = _zmul(a, b)
+        return BiPoly(
+            [flat[i : i + width] for i in range(0, len(flat), width)], self.outer, self.inner
+        )
 
     __rmul__ = __mul__
 
@@ -961,77 +954,14 @@ class BiPoly:
         return BiPoly.from_univariate(q, var, outer, inner)
 
 
-def _bi_image(f: BiPoly, p: int) -> np.ndarray:
-    """f mod p as an int64 matrix: rows along the outer variable."""
-    return np.array([[v % p for v in row] for row in f.rows], dtype=np.int64)
-
-
-def _bimul_mod_p(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Product of two bivariate images mod p, one convolution per row pair."""
-    if x.shape[0] > y.shape[0]:
-        x, y = y, x
-    out = np.zeros(
-        (x.shape[0] + y.shape[0] - 1, x.shape[1] + y.shape[1] - 1), dtype=np.int64
-    )
-    for i, row in enumerate(x):
-        for k, other in enumerate(y):
-            out[i + k] += np.convolve(row, other) % p
-        if (i & 31) == 31:
-            out %= p
-    return out % p
-
-
-def _bipoly_mul_modular(A: BiPoly, B: BiPoly) -> BiPoly:
-    """Exact product via mod-p images + CRT (a-priori height bound)."""
-    bound_bits = (
-        A.max_coeff_bits()
-        + B.max_coeff_bits()
-        + (min(A.term_count(), B.term_count())).bit_length()
-        + 2
-    )
-    width = A.degree(A.inner) + B.degree(B.inner) + 1
-    acc = [0] * ((len(A.rows) + len(B.rows) - 1) * width)
-    modulus = 1
-    idx = 0
-    while modulus.bit_length() <= bound_bits:
-        p = _prime_at(idx)
-        idx += 1
-        img = _bimul_mod_p(_bi_image(A, p), _bi_image(B, p), p)
-        acc, modulus = _crt(acc, modulus, img.ravel().tolist(), p)
-    flat = _symmetric(acc, modulus)
-    rows = [flat[i : i + width] for i in range(0, len(flat), width)]
-    return BiPoly(rows, A.outer, A.inner)
-
-
 def product_equals(factors: Sequence[BiPoly], target: BiPoly) -> bool:
-    """Certified test that the product of `factors` equals `target`.
+    """Whether the product of `factors` equals `target`.
 
-    Compares mod enough primes to exceed twice a rigorous height bound for
-    both sides, so a True answer is a proof, not a sample.
+    The product is computed exactly over Z, so either answer is a proof.
     """
     if not factors:
         return target.rows == ((1,),)
-    if any(f.is_zero for f in factors):
-        return target.is_zero
-    bound = sum(f.max_coeff_bits() for f in factors)
-    bound += sum((min(f.term_count(), 1 << 20)).bit_length() for f in factors)
-    bound = max(bound, target.max_coeff_bits()) + 2
-    d_out = sum(f.degree(f.outer) for f in factors)
-    d_in = sum(f.degree(f.inner) for f in factors)
-    if d_out != target.degree(target.outer) or d_in != target.degree(target.inner):
-        return False
-    modulus = 1
-    idx = 0
-    while modulus.bit_length() <= bound:
-        p = _prime_at(idx)
-        idx += 1
-        prod = _bi_image(factors[0], p)
-        for f in factors[1:]:
-            prod = _bimul_mod_p(prod, _bi_image(f, p), p)
-        if not np.array_equal(prod, _bi_image(target, p)):
-            return False
-        modulus *= p
-    return True
+    return math.prod(factors[1:], start=factors[0]).rows == target.rows
 
 
 # ---------------------------------------------------------------------------

@@ -381,10 +381,15 @@ def _neville_zero(samples):
 
 
 _TAU_POLISH = 18.0
+# the landing extrapolation stops once two consecutive Neville estimates over
+# the last _LANDING_WINDOW nodes agree to _LANDING_AGREE, or at
+# _LANDING_MAX_NODES nodes
+_LANDING_AGREE = 1e-9
+_LANDING_WINDOW = 8
+_LANDING_MAX_NODES = 24
 
 
-def _extrapolate_landing(n, angle, path, agree_tol: float = 1e-9,
-                         window: int = 8, max_nodes: int = 24):
+def _extrapolate_landing(n, angle, path):
     """Landing estimate as t -> 0, rate-agnostic over the landing types
     that occur here.
 
@@ -417,7 +422,7 @@ def _extrapolate_landing(n, angle, path, agree_tol: float = 1e-9,
             (cur[0], _solve_ray_point(n, angle, cur[0], cur[1], bits, _TAU_POLISH))
         ]
         est, prev_est = nodes[-1][1], None
-        while len(nodes) < max_nodes:
+        while len(nodes) < _LANDING_MAX_NODES:
             try:
                 for _ in range(steps):
                     t = cur[0] * ratio
@@ -442,12 +447,12 @@ def _extrapolate_landing(n, angle, path, agree_tol: float = 1e-9,
                 if len(nodes) < 3:
                     raise
                 break
-            if len(nodes) >= window and len(nodes) % 2 == 0:
-                est = _neville_zero(nodes[-window:])
-                if prev_est is not None and abs(est - prev_est) <= agree_tol:
+            if len(nodes) >= _LANDING_WINDOW and len(nodes) % 2 == 0:
+                est = _neville_zero(nodes[-_LANDING_WINDOW:])
+                if prev_est is not None and abs(est - prev_est) <= _LANDING_AGREE:
                     return est
                 prev_est = est
-        return _neville_zero(nodes[-window:]) if len(nodes) >= 3 else est
+        return _neville_zero(nodes[-_LANDING_WINDOW:]) if len(nodes) >= 3 else est
 
 
 def complex_roots(p: IntPoly, precision_bits: int = 256) -> list:

@@ -37,7 +37,7 @@ from .numfield import (
 from .polycore import IntPoly, moebius, poly_to_json
 
 __all__ = [
-    "SweepCaps",
+    "SWEEP_DEGREE_CAP",
     "VerificationReport",
     "galois_experiment",
     "report_json",
@@ -394,11 +394,8 @@ def galois_experiment(
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepCaps:
-    """Resource limits for sweep runners; skipped cells report incomplete."""
-
-    max_dynatomic_degree: int = 80
+# sweep_thm_1_4 reports cells whose dynatomic degree exceeds this as incomplete
+SWEEP_DEGREE_CAP = 80
 
 
 def _dynatomic_degree(n: int, h: int) -> int:
@@ -408,9 +405,10 @@ def _dynatomic_degree(n: int, h: int) -> int:
 def sweep_thm_1_4(
     ns: tuple[int, ...] = (2, 3, 4),
     r_max: int = 6,
-    caps: SweepCaps = SweepCaps(),
+    degree_cap: int = SWEEP_DEGREE_CAP,
 ) -> list[VerificationReport]:
-    """All norm-divisibility cells with ray period r = h*m <= r_max."""
+    """All norm-divisibility cells with ray period r = h*m <= r_max; a cell
+    whose dynatomic degree exceeds degree_cap is skipped as incomplete."""
     reports = []
     for n in ns:
         for r in range(1, r_max + 1):
@@ -418,7 +416,7 @@ def sweep_thm_1_4(
                 if r % h:
                     continue
                 m = r // h
-                if _dynatomic_degree(n, h) > caps.max_dynatomic_degree:
+                if _dynatomic_degree(n, h) > degree_cap:
                     reports.append(
                         VerificationReport(
                             claim="thm14",
@@ -428,7 +426,7 @@ def sweep_thm_1_4(
                                     "skipped": True,
                                     "reason": "dynatomic degree "
                                     f"{_dynatomic_degree(n, h)} exceeds cap "
-                                    f"{caps.max_dynatomic_degree}",
+                                    f"{degree_cap}",
                                 },
                             ),
                             verdict="incomplete",

@@ -454,6 +454,30 @@ def test_usage_errors():
     assert (code, doc["error"]["kind"]) == (2, "usage")
 
 
+def test_parser_built_once_per_process(monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("prog") == "unicrit":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        good = ["poly", "gleason", "--n", "2", "--h", "3"]
+        code, first = run(good)
+        assert code == 0
+        # a usage error after a good call is still a usage error
+        code, doc = run_json(["poly", "gleason", "--h", "3"])
+        assert (code, doc["error"]["kind"]) == (2, "usage")
+        assert run(good) == (0, first)
+        assert len(built) == 1
+    finally:
+        cli.build_parser.cache_clear()
+
+
 def test_repeat_invocations_byte_identical():
     args = ["verify", "thm31", "--n", "2", "--t", "1", "--h", "2", "--tau", "2"]
     _, out1 = run(args)

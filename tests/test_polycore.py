@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from unicrit import polycore
-from unicrit.dynmaps import dynatomic, multiplier_poly
+from unicrit.dynmaps import dynatomic, iterate_map, multiplier_poly
 from unicrit.polycore import (
     BiPoly,
     IntPoly,
@@ -35,7 +35,6 @@ from unicrit.polycore import (
     squarefree_part,
     _GCD_NP_MIN_DEGREE,
     _bdivmod_monic,
-    _bipoly_mul_modular,
     _gf_divmod,
     _gf_gcd,
     _interpolate,
@@ -43,6 +42,7 @@ from unicrit.polycore import (
     _point_run,
     _prime_at,
     _resultant_image_mod_p,
+    _zmul,
     _resultant_points_bigint,
     _resultant_points_modular,
     _vector_resultants_mod_p,
@@ -665,12 +665,70 @@ def test_bipoly_derivative():
     assert p.derivative("c") == z + 1
 
 
-def test_bipoly_modular_mul_matches_naive():
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+@pytest.mark.parametrize("kronecker", [True, False])
+def test_zmul_matches_schoolbook(monkeypatch, kronecker):
+    if not kronecker:
+        monkeypatch.setattr(polycore, "_KRONECKER_MIN_TERMS", 10 ** 9)
+    rng = random.Random(17)
+    coefficient_sets = {
+        "non-negative": lambda: rng.randrange(10 ** 12),
+        "mixed-sign": lambda: rng.randint(-(10 ** 12), 10 ** 12),
+        "all negative": lambda: -rng.randrange(1, 10 ** 12),
+        "interior zeros": lambda: rng.choice((0, 0, 0, rng.randint(-99, 99))),
+    }
+    for la, lb in ((1, 30), (17, 17), (40, 33)):
+        for name, draw in coefficient_sets.items():
+            a = [draw() for _ in range(la - 1)] + [rng.randint(1, 9)]
+            b = [draw() for _ in range(lb)]
+            # a sign in either factor alone, then in both
+            for x, y in ((a, b), (b, a), ([abs(v) for v in a], b), (b, [abs(v) for v in a])):
+                assert _zmul(x, y) == schoolbook(x, y), (la, lb, name)
+        # one 2,000-bit term among small ones of both signs
+        a = [rng.randint(-9, 9) for _ in range(la)]
+        b = [rng.randint(-9, 9) for _ in range(lb)]
+        a[la // 2] = -(rng.getrandbits(2000) | 1 << 1999)
+        assert _zmul(a, b) == schoolbook(a, b), (la, lb, "2,000-bit term")
+        assert _zmul([-v for v in a], b) == schoolbook([-v for v in a], b)
+
+
+def bipoly_schoolbook(a, b):
+    out = [[0] * (len(a.rows[0]) + len(b.rows[0]) - 1) for _ in range(len(a.rows) + len(b.rows) - 1)]
+    for i, ra in enumerate(a.rows):
+        for j, u in enumerate(ra):
+            for k, rb in enumerate(b.rows):
+                for l, v in enumerate(rb):
+                    out[i + k][j + l] += u * v
+    return BiPoly(out, a.outer, a.inner)
+
+
+def test_bipoly_mul_matches_schoolbook():
     rng = random.Random(777)
-    for _ in range(6):
-        a = rand_bipoly(rng, 5, 6, bound=10 ** 6)
-        b = rand_bipoly(rng, 6, 5, bound=10 ** 6)
-        assert _bipoly_mul_modular(a, b) == a * b
+    # shapes (outer degree, inner degree): one row and one column included
+    shapes = [((0, 4), (3, 2)), ((5, 0), (2, 6)), ((0, 0), (4, 4)), ((0, 7), (0, 9)),
+              ((6, 0), (3, 0)), ((5, 6), (6, 5)), ((2, 1), (1, 3))]
+    for bound, scale in ((9, 1), (999, 1), (9, 3 ** 90)):
+        for (da, ia), (db, ib) in shapes:
+            a = rand_bipoly(rng, da, ia, bound=bound) * scale
+            b = rand_bipoly(rng, db, ib, bound=bound)
+            assert a * b == bipoly_schoolbook(a, b), (bound, da, ia, db, ib)
+            assert -a * b == bipoly_schoolbook(-a, b)
+
+
+def test_bipoly_product_past_the_old_size_switch():
+    # f7 = f6^2 + c, where f6 has 33 x 65 cells: the squaring is past
+    # the 4,000,000 cell-product size that once chose a multimodular route
+    f6, f7 = iterate_map(2, 6), iterate_map(2, 7)
+    assert f6.degree("c") == 32 and f6.degree("z") == 64
+    for c0, z0 in ((1, 1), (-2, 3), (5, -7)):
+        assert f7.eval_point(c0, z0) == f6.eval_point(c0, z0) ** 2 + c0
 
 
 def test_product_equals_certified():

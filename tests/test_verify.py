@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from unicrit.verify import (
-    SweepCaps,
     VerificationReport,
     galois_experiment,
     report_json,
@@ -239,8 +238,7 @@ def test_sweep_thm31_small():
 
 
 def test_sweep_caps_mark_incomplete_not_fail():
-    caps = SweepCaps(max_dynatomic_degree=10)
-    reports = sweep_thm_1_4(ns=(3,), r_max=4, caps=caps)
+    reports = sweep_thm_1_4(ns=(3,), r_max=4, degree_cap=10)
     verdicts = {r.cell["h"]: r.verdict for r in reports if r.cell["m"] == 1}
     assert verdicts[1] == "pass" and verdicts[2] == "pass"
     assert verdicts[3] == "incomplete" and verdicts[4] == "incomplete"

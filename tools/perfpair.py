@@ -10,6 +10,12 @@ first in odd pairs and the change first in even ones, so a drift of the
 machine's speed does not favour one side.  A run that is not `correct` or
 that reports failed calls stops the tool with an error.
 
+Both sides run from bytecode compiled from their own sources: every run
+reads and writes no `__pycache__` in either checkout, only a fresh
+PYTHONPYCACHEPREFIX that one import per side fills before the first pair
+(a stale cache in a checkout would otherwise skew `setup_s`), and the
+timed runs write nothing there either (PYTHONDONTWRITEBYTECODE).
+
 For each end-to-end metric of the parent's BENCHMARK.json it reports every
 run's value, both sides' medians and quartiles, and the pairs the change
 won (ties count for neither side), and prints the matching CHANGES.md
@@ -21,18 +27,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+# what a perfbench child imports: warming these leaves no module of a timed
+# run to compile from source
+WARM_IMPORTS = (
+    "import sys; sys.path[:0] = ['src', 'perfbench']; "
+    "import unicrit.cli, run, contextlib, io, resource, signal"
+)
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def warm(root: Path, env: dict) -> None:
+    subprocess.run([sys.executable, "-c", WARM_IMPORTS], cwd=root, check=True,
+                   env={k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"})
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         sys.exit(f"perfpair: {root}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -91,13 +111,17 @@ def main(argv=None) -> int:
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     runs = []
-    for seed in range(1, args.pairs + 1):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        run = {"seed": seed, "first": order[0]}
-        for side in order:
-            run[side] = run_once(getattr(args, side), args.workload, seed, seconds)
-        runs.append(run)
-        print(f"pair {seed}: " + json.dumps(run), file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="perfpair-pycache-") as pycache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": pycache, "PYTHONDONTWRITEBYTECODE": "1"}
+        for side in ("parent", "change"):
+            warm(getattr(args, side), env)
+        for seed in range(1, args.pairs + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            run = {"seed": seed, "first": order[0]}
+            for side in order:
+                run[side] = run_once(getattr(args, side), args.workload, seed, seconds, env)
+            runs.append(run)
+            print(f"pair {seed}: " + json.dumps(run), file=sys.stderr, flush=True)
     stats = compare(metrics, runs)
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
