@@ -9,7 +9,10 @@ of z^n + c at rational parameters.
 
 No integral bases, no ideal arithmetic: integrality is always certified
 through the minimal polynomial, which keeps everything elementary and
-exact.  All values are immutable and all functions pure.
+exact.  Characteristic polynomials, and so minimal polynomials, norms and
+traces, come from polycore's exact subresultant resultant at every degree,
+never from its early-stop modular route.  All values are immutable and
+all functions pure.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Sequence
 from .dynmaps import dynatomic
 from .factorz import factor
 from .polycore import _MEMO_SIZE, IntPoly, _strip, squarefree_part
+from .polycore import _resultant_points_bigint
 
 __all__ = [
     "FieldElement",
@@ -273,38 +277,27 @@ def _reduce_coords(conv: list[Fraction], modulus: RatPoly) -> tuple[Fraction, ..
 # minimal polynomials, norms, traces
 
 
-def _mult_matrix(e: FieldElement) -> list[list[Fraction]]:
-    """Matrix of multiplication by e in the power basis (rows[i][j])."""
-    d = e.field.degree
-    mod = e.field.modulus
-    cols = []
-    v = list(e.coords)
-    for _ in range(d):
-        cols.append(tuple(v))
-        # multiply by x and reduce
-        v = [Fraction(0)] + v
-        v = list(_reduce_coords(v, mod))
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _char_poly(e: FieldElement) -> RatPoly:
-    """Characteristic polynomial of multiplication by e (Faddeev-LeVerrier)."""
+    """Characteristic polynomial of multiplication by e, prod (y - e(alpha)).
+
+    With D the lcm of e's coordinate denominators, E = D*e and M the
+    cleared modulus, Res_x(M, D*y - E) = lc(M)^deg E * D^d * prod (y - e(alpha))
+    (Cohen, GTM 138, 4.3).  It comes from polycore's exact subresultant
+    route, never the early-stop modular one, so integrality certificates
+    rest on an exact polynomial.
+    """
     d = e.field.degree
-    m = _mult_matrix(e)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    a = [row[:] for row in m]
-    coeffs[d - 1] = -sum(a[i][i] for i in range(d))
-    for k in range(2, d + 1):
-        for i in range(d):
-            a[i][i] += coeffs[d - k + 1]
-        a = [
-            [sum(m[i][t] * a[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        coeffs[d - k] = -sum(a[i][i] for i in range(d)) / k
-    return RatPoly(tuple(coeffs), "y")
+    if e.is_rational:
+        r = e.coords[0]
+        char = IntPoly((-r.numerator, r.denominator), "y") ** d
+    else:
+        den = math.lcm(*(c.denominator for c in e.coords))
+        E = _strip([int(c * den) for c in e.coords])
+        a_cols = [IntPoly.const(a, "y") for a in e.field.modulus.cleared().coeffs]
+        b_cols = [IntPoly((-E[0], den), "y")] + [IntPoly.const(-a, "y") for a in E[1:]]
+        char = _resultant_points_bigint(a_cols, b_cols, "y")
+    return RatPoly(tuple(Fraction(c, char.lc) for c in char.coeffs), "y")
 
 
 def minimal_polynomial(e: FieldElement) -> RatPoly:
@@ -455,15 +448,12 @@ class OrbitUnitReport:
     certificates: tuple[IntegralityCertificate, ...]
 
 
-def dynamical_unit_check(
-    n: int, c, h: int, certify_units: bool = True
-) -> list[OrbitUnitReport]:
+def dynamical_unit_check(n: int, c, h: int) -> list[OrbitUnitReport]:
     """Check prod_j (z_j^n - z_{j+1}^n)/(z_j - z_{j+1}) = 1 on each orbit.
 
     The product is verified exactly in-field.  When c is an algebraic
     integer (here: an integer) each difference quotient also gets a unit
-    certificate; pass certify_units=False to skip those, which matters in
-    large-degree fields where minimal polynomials are the expensive part.
+    certificate.
     """
     if h < 2:
         raise ValueError("the unit identity concerns orbits of period >= 2")
@@ -478,7 +468,7 @@ def dynamical_unit_check(
         for v in phis:
             prod = prod * v
         certs = ()
-        if certify_units and c.denominator == 1:
+        if c.denominator == 1:
             certs = tuple(is_algebraic_integer(v) for v in phis)
         reports.append(
             OrbitUnitReport(

@@ -82,13 +82,21 @@ def report_json(report: VerificationReport, timings: bool = False) -> str:
     return json.dumps(report.to_json(timings=timings), sort_keys=True)
 
 
-def _finish(claim, cell, witnesses, verdict, t0) -> VerificationReport:
+def _finish(claim, cell, witnesses, t0, verdict=None) -> VerificationReport:
+    """The report; unless given, its verdict is read off the witnesses:
+    incomplete if one was skipped, else fail if one failed, else pass."""
+    if verdict is None:
+        verdict = (
+            "incomplete" if any(w.get("skipped") for w in witnesses)
+            else "fail" if any(w.get("verdict") == "fail" for w in witnesses)
+            else "pass"
+        )
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(claim, cell, tuple(witnesses), verdict, elapsed)
 
 
 def _divisibility_witness(piece: IntPoly, coordinate: str, bound: int):
-    """Witness dict for |Norm(root of piece)| dividing bound; (witness, ok)."""
+    """Witness dict for |Norm(root of piece)| dividing bound."""
     w = {
         "coordinate": coordinate,
         "factor": poly_to_json(piece),
@@ -97,16 +105,16 @@ def _divisibility_witness(piece: IntPoly, coordinate: str, bound: int):
     if not piece.is_monic:
         w["verdict"] = "fail"
         w["note"] = "factor is not monic; its root is not an algebraic integer"
-        return w, False
+        return w
     norm = _norm_unchecked(piece)
     w["norm"] = str(norm)
     w["bound"] = str(bound)
     if norm != 0 and bound % abs(norm) == 0:
         w["quotient"] = str(bound // abs(norm))
         w["verdict"] = "pass"
-        return w, True
+        return w
     w["verdict"] = "fail"
-    return w, False
+    return w
 
 
 def verify_thm_1_4(n: int, h: int, m: int) -> VerificationReport:
@@ -122,20 +130,15 @@ def verify_thm_1_4(n: int, h: int, m: int) -> VerificationReport:
     r = h * m
     base = n ** r - 1
     witnesses = []
-    verdict = "pass"
     try:
         for coordinate, scale in (("b", 1), ("bhat", n - 1)):
             param = parabolic_param_poly(n, h, m, coordinate)
             for piece, _ in factor(param.poly).factors:
                 bound = base ** (scale * piece.degree)
-                w, ok = _divisibility_witness(piece, coordinate, bound)
-                witnesses.append(w)
-                if not ok:
-                    verdict = "fail"
+                witnesses.append(_divisibility_witness(piece, coordinate, bound))
     except DegreeCapError as exc:
         witnesses.append({"skipped": True, "reason": str(exc)})
-        verdict = "incomplete"
-    return _finish("thm14", cell, witnesses, verdict, t0)
+    return _finish("thm14", cell, witnesses, t0)
 
 
 def verify_thm_3_1(
@@ -151,7 +154,6 @@ def verify_thm_3_1(
     t0 = time.perf_counter()
     cell = {"n": n, "t": t, "h": h, "tau": tau}
     witnesses = []
-    verdict = "pass"
     try:
         if t == 0:
             if tau is not None:
@@ -160,7 +162,7 @@ def verify_thm_3_1(
                 param = gleason_poly(n, h, "chat")
             except SpecialCaseError as exc:
                 witnesses.append({"note": str(exc)})
-                return _finish("thm31", cell, witnesses, "not_applicable", t0)
+                return _finish("thm31", cell, witnesses, t0, "not_applicable")
             for piece, _ in factor(param.poly).factors:
                 norm = _norm_unchecked(piece) if piece.is_monic else None
                 w = {
@@ -170,8 +172,6 @@ def verify_thm_3_1(
                     "norm": str(norm),
                     "verdict": "pass" if norm in (1, -1) else "fail",
                 }
-                if w["verdict"] == "fail":
-                    verdict = "fail"
                 witnesses.append(w)
         else:
             if tau is None:
@@ -188,7 +188,6 @@ def verify_thm_3_1(
                             "note": "factor is not monic",
                         }
                     )
-                    verdict = "fail"
                     continue
                 norm = _norm_unchecked(piece)
                 ok = norm != 0 and n % abs(norm) == 0
@@ -202,12 +201,9 @@ def verify_thm_3_1(
                         "verdict": "pass" if ok else "fail",
                     }
                 )
-                if not ok:
-                    verdict = "fail"
     except DegreeCapError as exc:
         witnesses.append({"skipped": True, "reason": str(exc)})
-        verdict = "incomplete"
-    return _finish("thm31", cell, witnesses, verdict, t0)
+    return _finish("thm31", cell, witnesses, t0)
 
 
 def verify_monic_structure(n: int, h: int) -> VerificationReport:
@@ -219,7 +215,6 @@ def verify_monic_structure(n: int, h: int) -> VerificationReport:
     t0 = time.perf_counter()
     cell = {"n": n, "h": h}
     witnesses = [{"note": SCOPE_NOTE_MONIC}]
-    verdict = "pass"
     try:
         pair = iterate_poly_gb(n, h)
         period = periodicity_poly(n, h)
@@ -240,13 +235,10 @@ def verify_monic_structure(n: int, h: int) -> VerificationReport:
                 and lead_b == IntPoly.const(1, "w")
             )
             w["verdict"] = "pass" if ok else "fail"
-            if not ok:
-                verdict = "fail"
             witnesses.append(w)
     except DegreeCapError as exc:
         witnesses.append({"skipped": True, "reason": str(exc)})
-        verdict = "incomplete"
-    return _finish("monic11", cell, witnesses, verdict, t0)
+    return _finish("monic11", cell, witnesses, t0)
 
 
 def verify_congruences(n: int, parameter, h: int) -> VerificationReport:
@@ -262,12 +254,11 @@ def verify_congruences(n: int, parameter, h: int) -> VerificationReport:
     parameter = Fraction(parameter)
     cell = {"n": n, "parameter": str(parameter), "h": h}
     witnesses = []
-    verdict = "pass"
     try:
         bundles = congruence_certificates(n, parameter, h)
     except ParabolicCollisionError as exc:
         witnesses.append({"note": str(exc)})
-        return _finish("remark22", cell, witnesses, "parabolic_collision", t0)
+        return _finish("remark22", cell, witnesses, t0, "parabolic_collision")
     for bundle in bundles:
         modulus = bundle.orbit.field.modulus.to_json()
         for claim, cert in (
@@ -282,10 +273,8 @@ def verify_congruences(n: int, parameter, h: int) -> VerificationReport:
                 w["applicable"] = True
                 w["certificate"] = cert.to_json(context={"claim": claim})
                 w["verdict"] = "pass" if cert.is_integer else "fail"
-                if not cert.is_integer:
-                    verdict = "fail"
             witnesses.append(w)
-    return _finish("remark22", cell, witnesses, verdict, t0)
+    return _finish("remark22", cell, witnesses, t0)
 
 
 def verify_dynamical_units(n: int, c, h: int) -> VerificationReport:
@@ -294,12 +283,11 @@ def verify_dynamical_units(n: int, c, h: int) -> VerificationReport:
     c = Fraction(c)
     cell = {"n": n, "parameter": str(c), "h": h}
     witnesses = []
-    verdict = "pass"
     try:
         reports = dynamical_unit_check(n, c, h)
     except ParabolicCollisionError as exc:
         witnesses.append({"note": str(exc)})
-        return _finish("remark23", cell, witnesses, "parabolic_collision", t0)
+        return _finish("remark23", cell, witnesses, t0, "parabolic_collision")
     for rep in reports:
         w = {
             "orbit_modulus": rep.orbit.field.modulus.to_json(),
@@ -309,11 +297,9 @@ def verify_dynamical_units(n: int, c, h: int) -> VerificationReport:
         if rep.certificates:
             w["phi_units"] = [cert.is_unit for cert in rep.certificates]
             ok = ok and all(cert.is_unit for cert in rep.certificates)
-        if not ok:
-            verdict = "fail"
         w["verdict"] = "pass" if ok else "fail"
         witnesses.append(w)
-    return _finish("remark23", cell, witnesses, verdict, t0)
+    return _finish("remark23", cell, witnesses, t0)
 
 
 def _stratified_parabolic(n: int, h: int, m: int) -> IntPoly:
@@ -367,11 +353,9 @@ def galois_experiment(
         else:
             raise ValueError(f"unknown experiment kind {kind!r}")
     except SpecialCaseError as exc:
-        return _finish("galois33", cell, [{"note": str(exc)}], "not_applicable", t0)
+        return _finish("galois33", cell, [{"note": str(exc)}], t0, "not_applicable")
     except DegreeCapError as exc:
-        return _finish(
-            "galois33", cell, [{"skipped": True, "reason": str(exc)}], "incomplete", t0
-        )
+        return _finish("galois33", cell, [{"skipped": True, "reason": str(exc)}], t0)
     pieces = factor(poly).factors
     if not pieces:
         reading = "empty stratum: no parameter lies in this cell"
@@ -387,7 +371,7 @@ def galois_experiment(
             "reading": reading,
         }
     ]
-    return _finish("galois33", cell, witnesses, "pass", t0)
+    return _finish("galois33", cell, witnesses, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,16 @@ def test_verify_units():
     assert doc["verdict"] == "pass"
 
 
+def test_verify_units_and_congruences_in_a_degree_30_field():
+    # the period-5 orbit of z^2 + 1 generates a field of degree 30
+    code, doc = run_json(["verify", "units", "--n", "2", "--c", "1", "--h", "5"])
+    assert code == 0 and doc["verdict"] == "pass"
+    (w,) = doc["witnesses"]
+    assert w["phi_units"] == [True] * 5
+    code, doc = run_json(["verify", "congruences", "--n", "2", "--c", "1", "--h", "5"])
+    assert code == 0 and doc["verdict"] == "pass"
+
+
 def test_verify_sweep_thm14():
     code, doc = run_json(["verify", "sweep", "thm14", "--ns", "2", "--r-max", "4"])
     assert code == 0

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from unicrit import polycore
 from unicrit.numfield import (
     FieldElement,
     NumberField,
     ParabolicCollisionError,
     RatPoly,
+    _char_poly,
+    _reduce_coords,
     congruence_certificates,
     dynamical_unit_check,
     is_algebraic_integer,
@@ -109,6 +112,59 @@ def test_minimal_polynomial_annihilates():
         for c in reversed(mp.coeffs):
             val = val * e + c
         assert val == QUARTIC.zero()
+
+
+def faddeev_leverrier(e):
+    """Reference characteristic polynomial: Faddeev-LeVerrier on the
+    rational matrix of multiplication by e in the power basis."""
+    d = e.field.degree
+    cols, v = [], list(e.coords)
+    for _ in range(d):
+        cols.append(tuple(v))
+        v = list(_reduce_coords([Fraction(0)] + v, e.field.modulus))
+    m = [[cols[j][i] for j in range(d)] for i in range(d)]
+    coeffs = [Fraction(0)] * (d + 1)
+    coeffs[d] = Fraction(1)
+    a = [row[:] for row in m]
+    coeffs[d - 1] = -sum(a[i][i] for i in range(d))
+    for k in range(2, d + 1):
+        for i in range(d):
+            a[i][i] += coeffs[d - k + 1]
+        a = [
+            [sum(m[i][t] * a[t][j] for t in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+        coeffs[d - k] = -sum(a[i][i] for i in range(d)) / k
+    return RatPoly(tuple(coeffs), "y")
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rng = random.Random(2024)
+    pure = [NumberField(rat(-2, *[0] * (d - 1), 1)) for d in range(1, 9)]  # x^d - 2
+    # monic with non-integral coefficients: 6x^2 - 3x + 2 has no rational root
+    skew = NumberField(rat(Fraction(1, 3), Fraction(-1, 2), 1))
+    for field in (GAUSS, QUARTIC, GOLDEN, RATIONALS, *pure, skew):
+        d = field.degree
+        elements = [field.zero(), field.one(), field.from_rational(Fraction(-7, 3))]
+        for top in range(d):
+            for _ in range(4):
+                # coordinates past `top` are zero; top = 0 is a rational element
+                elements.append(field.element(
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(top + 1)]
+                ))
+        for e in elements:
+            assert _char_poly(e) == faddeev_leverrier(e), (field.modulus, e.coords)
+
+
+def test_char_poly_stays_exact_past_degree_64(monkeypatch):
+    # the degree bound is 67 > 64, where resultant() would take the
+    # early-stop modular route; the characteristic polynomial must not
+    def refuse(*args, **kwargs):
+        raise AssertionError("characteristic polynomial took the modular route")
+
+    monkeypatch.setattr(polycore, "_resultant_points_modular", refuse)
+    field = NumberField(rat(-2, *[0] * 66, 1))  # Q(2^(1/67))
+    assert norm_and_trace(field.generator() + 1) == (3, 67)
 
 
 def test_integrality_examples():
@@ -227,19 +283,20 @@ def test_unit_report_examples():
 
 def test_unit_product_identity_sweep():
     # the cyclic product of difference quotients is exactly 1 on every
-    # orbit; certificates are skipped to keep the large fields cheap
+    # orbit, and at integer c every quotient is certified a unit
     ran = 0
     for n in (2, 3):
         for h in (2, 3, 4):
             for c in (-2, -1, 0, 1):
                 try:
-                    reports = dynamical_unit_check(n, c, h, certify_units=False)
+                    reports = dynamical_unit_check(n, c, h)
                 except ParabolicCollisionError:
                     continue
                 assert reports, (n, c, h)
                 for rep in reports:
                     assert rep.product_is_one, (n, c, h)
-                    assert rep.certificates == ()
+                    assert len(rep.certificates) == h, (n, c, h)
+                    assert all(cert.is_unit for cert in rep.certificates), (n, c, h)
                 ran += 1
     assert ran == 24
 
