@@ -10,11 +10,11 @@ coefficient bound.  Output order is deterministic: (degree, coefficients).
 Coefficient-list arithmetic over GF(p) and Z/m (products, division, gcd,
 symmetric lift) comes from polycore's modular kernel.  Arithmetic in
 GF(p)[x]/(f) goes through one ring, _Ring, built once per (f, p): numpy
-int64 convolution plus a precomputed reduction matrix above a small degree,
-the kernel's list helpers below it.  Each candidate prime's Frobenius matrix
-Q (rows x^(ip) mod f) is built once; its nullity is Berlekamp's factor
-count, and the best prime's Q then drives distinct-degree factorization as
-the linear map h -> h^p.  Hensel products use Kronecker substitution.
+int64 convolution plus a precomputed reduction matrix, at every degree.
+Each candidate prime's Frobenius matrix Q (rows x^(ip) mod f) is built
+once; its nullity is Berlekamp's factor count, and the best prime's Q then
+drives distinct-degree factorization as the linear map h -> h^p.  Hensel
+products use Kronecker substitution.
 
 Everything is exact; the final factorization is re-multiplied and compared
 against the input before it is returned, and a failed check raises
@@ -40,6 +40,7 @@ from .polycore import (
     _gf_exactdiv,
     _gf_gcd,
     _is_prime,
+    _power,
     _residues,
     _strip,
     _symmetric,
@@ -48,11 +49,6 @@ from .polycore import (
     poly_to_json,
 )
 
-# Above this degree a product in GF(p)[x]/(f) is one numpy convolution plus
-# one matrix-vector reduction; at or below it numpy's per-call overhead costs
-# more than the list loops.  Factoring the thm31 sweep's inputs with this
-# switch at 4 ... 32 was fastest at 12 and 16.
-_NP_MIN_DEGREE = 16
 # Degrees that share one gcd in distinct-degree factorization: a gcd costs
 # O(d^2) list steps, the product that merges one more degree into it one
 # ring product.  Blocks of 4 ... 32 timed alike on the thm31 sweep's inputs.
@@ -93,14 +89,12 @@ class Factorization:
 
 
 class _Ring:
-    """GF(p)[x]/(f) for monic f of degree d >= 1.
+    """GF(p)[x]/(f) for monic f of degree d >= 2.
 
-    Built once per (f, p).  Above _NP_MIN_DEGREE an element is an int64
-    vector of length d, and a product is a convolution whose top d - 1
-    coefficients are folded back by the precomputed rows x^d .. x^(2d-2)
-    mod f.  At or below it, elements are coefficient lists and products use
-    the list helpers of polycore's modular kernel.  Every int64 sum has at
-    most d terms below p^2, so p^2 * d < 2^63 keeps it exact.
+    Built once per (f, p).  An element is an int64 vector of length d, and
+    a product is one numpy convolution whose top d - 1 coefficients are
+    folded back by the precomputed rows x^d .. x^(2d-2) mod f.  Every int64
+    sum has at most d terms below p^2, so p^2 * d < 2^63 keeps it exact.
     """
 
     def __init__(self, f: list[int], p: int):
@@ -108,50 +102,35 @@ class _Ring:
         if p * p * d >= 1 << 63:
             raise OverflowError(f"GF({p}) products of degree {d} overflow int64")
         self.f, self.p, self.d = f, p, d
-        self.red = None
-        if d > _NP_MIN_DEGREE:
-            red = np.empty((d - 1, d), dtype=np.int64)
-            red[0] = [-c % p for c in f[:d]]
-            for k in range(1, d - 1):
-                red[k, 0] = 0
-                red[k, 1:] = red[k - 1, :-1]
-                red[k] = (red[k] + red[k - 1, -1] * red[0]) % p
-            self.red = red
+        # row k is x^(d+k) mod f: x times row k-1, its x^d term folded back
+        red = np.empty((d - 1, d), dtype=np.int64)
+        red[0] = [-c % p for c in f[:d]]
+        for k in range(1, d - 1):
+            red[k, 0] = 0
+            red[k, 1:] = red[k - 1, :-1]
+            red[k] = (red[k] + red[k - 1, -1] * red[0]) % p
+        self.red = red
 
-    def _vec(self, a: list[int]):
+    def _vec(self, a: list[int]) -> np.ndarray:
         a = _bdivmod_monic(a, self.f, self.p)[1]
-        if self.red is None:
-            return a
         v = np.zeros(self.d, dtype=np.int64)
         v[: len(a)] = a
         return v
 
-    def _mul(self, u, v):
-        if self.red is None:
-            return _bdivmod_monic(_bmul(u, v, self.p), self.f, self.p)[1]
+    def _mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         c = np.convolve(u, v) % self.p
         return (c[: self.d] + c[self.d :] @ self.red) % self.p
 
-    def _pow(self, a: list[int], e: int):
-        result, b = self._vec([1]), self._vec(a)
-        while e:
-            if e & 1:
-                result = self._mul(result, b)
-            e >>= 1
-            if e:
-                b = self._mul(b, b)
-        return result
-
-    def _list(self, v) -> list[int]:
-        return v if self.red is None else _strip(v.tolist())
+    def _pow(self, a: list[int], e: int) -> np.ndarray:
+        return _power(self._vec(a), e, self._vec([1]), self._mul)
 
     def mul(self, a: list[int], b: list[int]) -> list[int]:
         """a * b mod f."""
-        return self._list(self._mul(self._vec(a), self._vec(b)))
+        return _strip(self._mul(self._vec(a), self._vec(b)).tolist())
 
     def pow(self, a: list[int], e: int) -> list[int]:
         """a^e mod f."""
-        return self._list(self._pow(a, e))
+        return _strip(self._pow(a, e).tolist())
 
     def frobenius(self) -> np.ndarray:
         """Berlekamp's Q: row i is x^(ip) mod f, so h^p = h @ Q for any h."""

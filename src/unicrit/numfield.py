@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .dynmaps import dynatomic
 from .factorz import factor
-from .polycore import _MEMO_SIZE, IntPoly, _strip, squarefree_part
+from .polycore import _MEMO_SIZE, IntPoly, _power, _strip, squarefree_part
 from .polycore import _resultant_points_bigint
 
 __all__ = [
@@ -246,16 +246,7 @@ class FieldElement:
         return FieldElement(self.field, tuple(a / s for a in self.coords))
 
     def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            raise ValueError("negative exponents are not supported")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.field.one())
 
 
 def _reduce_coords(conv: list[Fraction], modulus: RatPoly) -> tuple[Fraction, ...]:
@@ -420,8 +411,8 @@ def periodic_orbit_in_field(n: int, c, h: int) -> list[OrbitInField]:
                     f"at c = {c}"
                 )
             points.append(cur)
-        closes = points[-1] ** n + c
-        assert closes == z1, "orbit failed to close after h steps"
+        if points[-1] ** n + c != z1:
+            raise ArithmeticError("orbit failed to close after h steps")
         prod = fld.one()
         for z in points:
             prod = prod * z

@@ -22,7 +22,10 @@ product_equals compares an exact product.
 Every polynomial product, over Z or Z/m, univariate or bivariate, is one
 call of _zmul: schoolbook for short factors, one big-integer product by
 Kronecker substitution for longer ones.  A BiPoly product lays its rows end
-to end at a stride no row product can overrun.
+to end at a stride no row product can overrun, and a BiPoly quotient is one
+IntPoly division in the same flat layout.  Every power, of an IntPoly, a
+BiPoly, a number-field element, a GF(p)[x]/(f) residue or a vector of GF(p)
+scalars, is one call of _power, the package's one square-and-multiply loop.
 
 The modular kernel section is the package's one copy of coefficient-list
 arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
@@ -40,6 +43,7 @@ scalar inverse on the modular one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -142,6 +146,25 @@ def _prime_at(index: int) -> int:
     while len(_PRIME_CACHE) <= index:
         _primes_25bit(len(_PRIME_CACHE) + 32)
     return _PRIME_CACHE[index]
+
+
+def _power(x, e: int, one, mul=operator.mul):
+    """x^e under `mul`, by repeated squaring from `one`: the package's one
+    exponentiation loop.
+
+    >>> _power(3, 5, 1, lambda a, b: a * b % 7)
+    5
+    """
+    if e < 0:
+        raise ValueError("negative power")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +437,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result = IntPoly.const(1, self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, IntPoly.const(1, self.var))
 
     def __call__(self, x):
         """Horner evaluation; works for int, Fraction, complex, mpmath."""
@@ -488,6 +502,8 @@ class IntPoly:
         if da < db:
             return IntPoly.zero(self.var), self
         lb = other.lc
+        # a flat BiPoly divisor is mostly padding: step over its nonzero terms
+        terms = [(j, v) for j, v in enumerate(other.coeffs) if v]
         r = list(self.coeffs)
         q = [0] * (da - db + 1)
         for k in range(da - db, -1, -1):
@@ -500,8 +516,8 @@ class IntPoly:
                 )
             if t:
                 q[k] = t
-                for j in range(db + 1):
-                    r[k + j] -= t * other.coeffs[j]
+                for j, v in terms:
+                    r[k + j] -= t * v
         return IntPoly(q, self.var), IntPoly(r[:db], self.var)
 
     def divexact(self, other: "IntPoly") -> "IntPoly":
@@ -526,23 +542,6 @@ class IntPoly:
 
     def max_coeff_bits(self) -> int:
         return max((abs(c).bit_length() for c in self.coeffs), default=0)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if not c:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}{self.var}" + (f"^{i}" if i > 1 else "")
-            parts.append(("- " if c < 0 else "+ ") + term)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +826,11 @@ class BiPoly:
         ]
         return cls(rows, outer, inner)
 
+    def _flat(self, width: int) -> list[int]:
+        """Coefficients with outer^i * inner^j at i*width + j (width covers
+        every row): the layout of every BiPoly product and quotient."""
+        return [v for r in self.rows for v in r + (0,) * (width - len(r))]
+
     # -- arithmetic
 
     def __add__(self, other: "BiPoly | int") -> "BiPoly":
@@ -869,8 +873,7 @@ class BiPoly:
         # outer^i * inner^j -> inner^(i*width + j): no row product reaches
         # the next row, so one product over Z holds every coefficient
         width = len(self.rows[0]) + len(other.rows[0]) - 1
-        a, b = ([v for r in f.rows for v in r + (0,) * (width - len(r))] for f in (self, other))
-        flat = _zmul(a, b)
+        flat = _zmul(self._flat(width), other._flat(width))
         return BiPoly(
             [flat[i : i + width] for i in range(0, len(flat), width)], self.outer, self.inner
         )
@@ -878,17 +881,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "BiPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result = BiPoly.const(1, self.outer, self.inner)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, BiPoly.const(1, self.outer, self.inner))
 
     def eval_at(self, var: str, value: int) -> IntPoly:
         """Specialize one variable at an integer, exactly."""
@@ -917,41 +910,29 @@ class BiPoly:
         rows = [tuple(j * r[j] for j in range(1, len(r))) for r in self.rows]
         return BiPoly(rows, self.outer, self.inner)
 
-    def divexact(self, other: "BiPoly", var: str | None = None) -> "BiPoly":
-        """Exact division, performed along `var` (auto-picks the cheap one)."""
+    def divexact(self, other: "BiPoly") -> "BiPoly":
+        """Exact quotient, as one IntPoly division of the rows laid end to
+        end at the dividend's width w, the stride of __mul__.
+
+        An exact quotient's rows are at most w - deg_inner(other) long, so
+        each row product stays in its slot; a flat quotient whose rows all
+        fit therefore multiplies back exactly, and any other one (a row
+        product that wrapped into the next slot) is no quotient.
+        """
         self._check_same(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        if var is None:
-            # fewer division steps along the variable where the divisor is small
-            cost_outer = (self.degree(self.outer) - other.degree(self.outer)) * (
-                other.degree(self.outer) + 1
-            )
-            cost_inner = (self.degree(self.inner) - other.degree(self.inner)) * (
-                other.degree(self.inner) + 1
-            )
-            var = self.outer if cost_outer <= cost_inner else self.inner
-        a = self.as_univariate_in(var)
-        b = other.as_univariate_in(var)
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
+        if self.is_zero:
+            return self
+        width = len(self.rows[0])
+        room = width - other.degree(other.inner)
+        if room < 1:
             raise NotDivisibleError("divisor degree exceeds dividend degree")
-        lead = b[-1]
-        q: list[IntPoly] = [IntPoly.zero(a[0].var)] * (da - db + 1)
-        r = list(a)
-        for k in range(da - db, -1, -1):
-            top = r[k + db]
-            if top.is_zero:
-                continue
-            qk = top.divexact(lead)
-            q[k] = qk
-            for j in range(db + 1):
-                r[k + j] = r[k + j] - qk * b[j]
-        for j in range(db):
-            if not r[j].is_zero:
-                raise NotDivisibleError("bivariate division left a remainder")
-        outer, inner = self.outer, self.inner
-        return BiPoly.from_univariate(q, var, outer, inner)
+        flat = IntPoly(self._flat(width)).divexact(IntPoly(other._flat(width))).coeffs
+        rows = [flat[i : i + width] for i in range(0, len(flat), width)]
+        if any(len(_strip(r)) > room for r in rows):
+            raise NotDivisibleError("bivariate division left a remainder")
+        return BiPoly(rows, self.outer, self.inner)
 
 
 def product_equals(factors: Sequence[BiPoly], target: BiPoly) -> bool:
@@ -1031,18 +1012,6 @@ def _resultant_points_bigint(
     return _interpolate(start, vals, kept)
 
 
-def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            result = result * b % p
-        e >>= 1
-        if e:
-            b = b * b % p
-    return result
-
-
 def _vector_resultants_mod_p(
     A: np.ndarray, B: np.ndarray, p: int
 ) -> np.ndarray:
@@ -1058,6 +1027,10 @@ def _vector_resultants_mod_p(
     """
     out = np.zeros(A.shape[0], dtype=np.int64)
     res = np.ones(A.shape[0], dtype=np.int64)
+
+    def power(v: np.ndarray, e: int) -> np.ndarray:
+        return _power(v, e, np.ones_like(v), lambda u, w: u * w % p)
+
     if A.shape[1] < B.shape[1]:
         A, B = B, A
         if (A.shape[1] - 1) * (B.shape[1] - 1) % 2:
@@ -1069,9 +1042,9 @@ def _vector_resultants_mod_p(
         parts = groups.pop(key)
         rows, a, b, res = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         if db == 0:
-            out[rows] = res * _pow_mod_vec(b[:, 0], da, p) % p
+            out[rows] = res * power(b[:, 0], da) % p
             continue
-        inv = _pow_mod_vec(b[:, 0], p - 2, p)
+        inv = power(b[:, 0], p - 2)
         r = a.copy()
         for k in range(da - db + 1):
             f = r[:, k] * inv % p
@@ -1090,7 +1063,7 @@ def _vector_resultants_mod_p(
             if s == db:
                 continue  # Res(a, b) = 0; out is zero there already
             dr = db - 1 - s
-            part = res[sel] * _pow_mod_vec(b[sel, 0], da - dr, p) % p
+            part = res[sel] * power(b[sel, 0], da - dr) % p
             if da * db % 2:
                 part = (p - part) % p
             groups.setdefault((db, dr), []).append((rows[sel], b[sel], r[sel, s:], part))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from unicrit import polycore
+from unicrit import numfield, polycore
 from unicrit.numfield import (
     FieldElement,
     NumberField,
@@ -240,6 +240,15 @@ def test_orbit_examples():
     orbits = periodic_orbit_in_field(2, -1, 1)
     assert orbits[0].field.modulus.coeffs == fracs(-1, -1, 1)
     assert orbits[0].multiplier.coords == fracs(0, 2)
+
+
+def test_orbit_closure_check_survives_without_assert(monkeypatch):
+    # an orbit of Phi_3 does not close after 2 steps; the check must raise,
+    # also under python -O
+    real = numfield.dynatomic
+    monkeypatch.setattr(numfield, "dynatomic", lambda n, h: real(n, h + 1))
+    with pytest.raises(ArithmeticError, match="close"):
+        periodic_orbit_in_field(2, -1, 2)
 
 
 def test_parabolic_collisions_detected():

@@ -7,6 +7,7 @@ Fraction.  Nothing in the oracle shares code with the implementation.
 
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 
 from unicrit import polycore
 from unicrit.dynmaps import dynatomic, iterate_map, multiplier_poly
+from unicrit.numfield import NumberField, RatPoly
 from unicrit.polycore import (
     BiPoly,
     IntPoly,
@@ -40,6 +42,7 @@ from unicrit.polycore import (
     _interpolate,
     _newton_interpolate_mod_p,
     _point_run,
+    _power,
     _prime_at,
     _resultant_image_mod_p,
     _zmul,
@@ -124,6 +127,33 @@ def test_intpoly_normalization_and_degree():
     assert p.degree == 1
     assert IntPoly.zero().degree == -1
     assert IntPoly.zero().is_zero
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(10)
+    gauss = NumberField(RatPoly((Fraction(1), Fraction(0), Fraction(1)), "x"), check=False)
+    vec = np.array([0, 1, 2, 10006, 5003, 1234], dtype=np.int64)
+    cases = [
+        (7, 1, lambda a, b: a * b % 1009),
+        (rand_poly(rng, 3), IntPoly.const(1), operator.mul),
+        (rand_bipoly(rng, 2, 2), BiPoly.const(1, "c", "z"), operator.mul),
+        (gauss.element((Fraction(1, 2), Fraction(-2, 3))), gauss.one(), operator.mul),
+        (vec, np.ones_like(vec), lambda a, b: a * b % 10007),
+    ]
+    for x, one, mul in cases:
+        expected = one
+        for e in range(41):
+            got = _power(x, e, one, mul)
+            if isinstance(x, np.ndarray):
+                assert got.tolist() == expected.tolist(), e
+            else:
+                assert got == expected, (x, e)
+                if mul is operator.mul:
+                    assert x ** e == expected, (x, e)
+            expected = mul(expected, x)
+        if mul is operator.mul:
+            with pytest.raises(ValueError, match="negative power"):
+                x ** -1
 
 
 def test_intpoly_ring_identities():
@@ -645,16 +675,31 @@ def test_bipoly_divexact_roundtrip_both_directions():
         a = rand_bipoly(rng, rng.randint(1, 3), rng.randint(1, 3))
         b = rand_bipoly(rng, rng.randint(1, 3), rng.randint(1, 3))
         prod = a * b
-        for var in ("c", "z", None):
-            q = prod.divexact(b, var=var) if var else prod.divexact(b)
-            assert q == a
+        q = prod.divexact(b)
+        assert q == a
+    for a, b in (
+        (rand_bipoly(rng, 2, 3), rand_bipoly(rng, 0, 2)),  # one-row divisor
+        (rand_bipoly(rng, 2, 3), rand_bipoly(rng, 2, 0)),  # one-column divisor
+        (rand_bipoly(rng, 2, 0), rand_bipoly(rng, 1, 3)),  # as wide as the dividend
+    ):
+        assert (a * b).divexact(b) == a
 
 
 def test_bipoly_divexact_remainder_raises():
     c = BiPoly.gen("c", "c", "z")
     z = BiPoly.gen("z", "c", "z")
     with pytest.raises(NotDivisibleError):
-        (z ** 2 + c).divexact(z + 1, var="z")
+        (z ** 2 + c).divexact(z + 1)
+
+
+def test_bipoly_divexact_wrap_is_not_a_quotient():
+    c = BiPoly.gen("c", "c", "z")
+    z = BiPoly.gen("z", "c", "z")
+    # at stride 3 the flat x^3 + x^2 is (x + 1) * x^2, and the row z^2 does
+    # not fit the room of 2 that a divisor of inner degree 1 leaves
+    with pytest.raises(NotDivisibleError):
+        (c + z ** 2).divexact(z + 1)
+    assert (c * z + z ** 3).divexact(z) == c + z ** 2
 
 
 def test_bipoly_derivative():

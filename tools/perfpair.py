@@ -20,7 +20,9 @@ For each end-to-end metric of the parent's BENCHMARK.json it reports every
 run's value, both sides' medians and quartiles, and the pairs the change
 won (ties count for neither side), and prints the matching CHANGES.md
 table row.  With --out the result is stored under the workload's name in
-that JSON file, next to the workloads already there.
+that JSON file, next to the workloads already there.  It also prints, and
+with --out stores as `src_lines`, the lines of `src/unicrit/*.py` in each
+checkout.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, env: dict) ->
         sys.exit(f"perfpair: {root}: seed {seed}: {result['failed']} of "
                  f"{result['attempted']} calls failed")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (root / "src" / "unicrit").glob("*.py"))
 
 
 def summary(values: list[float]) -> dict:
@@ -123,11 +129,14 @@ def main(argv=None) -> int:
             runs.append(run)
             print(f"pair {seed}: " + json.dumps(run), file=sys.stderr, flush=True)
     stats = compare(metrics, runs)
+    lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc[args.workload] = {"seconds": seconds, "runs": runs, "metrics": stats}
+        doc["src_lines"] = lines
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(table_row(args.workload, len(runs), stats))
+    print("src_lines: " + json.dumps(lines))
     return 0
 
 
