@@ -14,11 +14,13 @@ perturbation of relative size exp(-(n-1) tau) / n^K, which decays to
 nothing as t -> 0, so landing extrapolation is unaffected by the
 truncation.
 
-Everything here is approximate at one configurable precision: Newton
-updates, targets and extrapolation run in mpmath floating point, and the
-orbit f_c^K(c) with its c-derivative runs in fixed-point Python integers
-with _GUARD_BITS bits below that precision (see _orbit).  The symbolic
-candidates the landings are matched against are exact.
+Everything here is approximate at one configurable precision.  Each
+Newton solve runs in fixed-point Python integers with _GUARD_BITS bits
+below that precision: the orbit f_c^K(c) with its c-derivative (_orbit),
+the residual, the step and the update (_solve_ray_point).  Targets, the
+continuation between solves and the landing extrapolation run in mpmath
+floating point.  The symbolic candidates the landings are matched against
+are exact.
 """
 
 from __future__ import annotations
@@ -198,34 +200,29 @@ def _ray_target(n: int, angle: Angle, t, K: int):
     return mp.exp(mp.mpc(re, im))
 
 
-def _orbit(n: int, c, K: int, bits: int):
-    """(f_c^K(c), d/dc f_c^K(c)) for z -> z^n + c, as mpc values.
+def _orbit(n: int, cr: int, ci: int, K: int, F: int):
+    """Fixed-point orbit of the critical value under z -> z^n + c.
 
-    The loop runs on Python integers scaled by 2^F, F = bits + _GUARD_BITS,
-    and rounds each product by one floor shift, so a step costs a few
-    big-integer multiplications instead of mpmath's per-operation
-    normalisation.  The rounding error is absolute (2^-F per operation);
-    the guard bits absorb its amplification along the orbit, which is the
-    same amplification a floating-point orbit suffers.  An orbit that
-    leaves radius 2^F is finished in closed form, z_K = z_k^(n^(K-k)),
-    because c and the derivative's +1 are then below working precision.
+    Every value is a Python integer pair scaled by 2^F: c = (cr + ci i) 2^-F
+    in, and (zr, zi, dr, di, N) out, where z = (zr + zi i) 2^-F is f_c^k(c)
+    and dz = (dr + di i) 2^-F its c-derivative.  Each product is rounded by
+    one floor shift, so a step costs a few big-integer multiplications.  The
+    rounding error is absolute (2^-F per operation); guard bits below the
+    working precision absorb its amplification along the orbit, which is
+    the same amplification a floating-point orbit suffers.
+
+    Normally k = K and N = 1.  An orbit that leaves radius 2^F stops at that
+    k and returns N = n^(K-k): then z_K = z_k^N and dz_K = N z_k^(N-1) dz_k
+    (see _escaped), because c and the derivative's +1 are below working
+    precision from there on.
     """
-    F = bits + _GUARD_BITS
     F1 = F - 1  # shift for a product doubled, as in 2xy and 2 z dz
     one = 1 << F
     lim = 1 << (2 * F)  # |z| = 2^F in fixed point
-    cr, ci = to_fixed(c.real._mpf_, F), to_fixed(c.imag._mpf_, F)
     zr, zi, dr, di = cr, ci, one, 0
     for k in range(K):
         if not (-lim < zr < lim and -lim < zi < lim):
-            # z_K = z_k^N and dz_K = N z_k^(N-1) dz_k, with N = n^(K-k)
-            N = n ** (K - k)
-            with mp.workprec(F + N.bit_length()):
-                z = _from_fixed(zr, zi, F, F)
-                z_K = z ** N
-                dz_K = N * z_K / z * _from_fixed(dr, di, F, F)
-            with mp.workprec(bits):
-                return +z_K, +dz_K
+            return zr, zi, dr, di, n ** (K - k)
         if n == 2:
             # z^2 = (x + y)(x - y) + 2xy i, and dz <- 2 z dz + 1
             dr, di = ((zr * dr - zi * di) >> F1) + one, (zr * di + zi * dr) >> F1
@@ -237,7 +234,22 @@ def _orbit(n: int, c, K: int, bits: int):
             dr, di = (n * ((wr * dr - wi * di) >> F) + one,
                       n * ((wr * di + wi * dr) >> F))
             zr, zi = ((wr * zr - wi * zi) >> F) + cr, ((wr * zi + wi * zr) >> F) + ci
-    return _from_fixed(zr, zi, F, bits), _from_fixed(dr, di, F, bits)
+    return zr, zi, dr, di, 1
+
+
+def _escaped(zr: int, zi: int, dr: int, di: int, N: int, F: int):
+    """(z_K, dz_K) = (z^N, N z^(N-1) dz) as mpc values at F + log2 N bits,
+    for an orbit that _orbit stopped at radius 2^F, N = n^(K-k) powers short
+    of depth K."""
+    prec = F + N.bit_length()
+    with mp.workprec(prec):
+        z = _from_fixed(zr, zi, F, prec)
+        z_K = z ** N
+        return z_K, N * z_K / z * _from_fixed(dr, di, F, prec)
+
+
+def _to_fixed(z, F: int) -> tuple[int, int]:
+    return to_fixed(z.real._mpf_, F), to_fixed(z.imag._mpf_, F)
 
 
 def _from_fixed(re: int, im: int, F: int, bits: int):
@@ -247,38 +259,72 @@ def _from_fixed(re: int, im: int, F: int, bits: int):
 
 def _solve_ray_point(n: int, angle: Angle, t, c0, bits: int,
                      tau: float = TAU_ESCAPE):
-    """Newton-solve f_c^K(c) = exp(n^K (t + 2 pi i angle)) starting at c0."""
+    """Newton-solve f_c^K(c) = exp(n^K (t + 2 pi i angle)) starting at c0.
+
+    c and the target enter once as fixed-point integers at F = bits +
+    _GUARD_BITS, and every iteration stays there: the residual, the
+    tolerance tol = |target| 2^-(bits/2) and both classification windows
+    below are compared as squared integer magnitudes, the step is one
+    complex division by |dz|^2, and |c| in the step floor is an integer
+    square root.  An orbit that escapes (see _orbit) has residual +inf and
+    takes its one step in mpc.  The result is rounded back to bits.
+    """
     K = _depth(n, t, tau)
     target = _ray_target(n, angle, t, K)
-    tol = abs(target) * mp.mpf(2) ** -(bits // 2)
-    step_floor = mp.mpf(2) ** (8 - bits)
-    c = mp.mpc(c0) if c0 is not None else target
-    best_c, best_f = c, mp.inf
+    if K == 0:
+        return target  # f_c^0(c) = c, so the ray equation reads c = target
+    F = bits + _GUARD_BITS
+    one = 1 << F
+    h = bits // 2
+    tr, ti = _to_fixed(target, F)
+    t2 = tr * tr + ti * ti  # |target|^2 2^2F, so tol^2 = t2 2^-(2F + 2h)
+    cr, ci = _to_fixed(mp.mpc(c0), F) if c0 is not None else (tr, ti)
+    best_c, best_f2 = None, None  # None: every residual so far is +inf
     for _ in range(_NEWTON_MAX_ITERS):
-        z, dz = _orbit(n, c, K, bits)
-        f = abs(z - target)
-        if f < best_f:
-            best_c, best_f = c, f
-        if f <= tol:
-            return c
-        if dz == 0:
+        zr, zi, dr, di, N = _orbit(n, cr, ci, K, F)
+        if N == 1:
+            fr, fi = zr - tr, zi - ti
+            f2 = fr * fr + fi * fi
+            if best_f2 is None or f2 < best_f2:
+                best_c, best_f2 = (cr, ci), f2
+            if f2 << 2 * h <= t2:
+                return _from_fixed(cr, ci, F, bits)
+        d2 = dr * dr + di * di
+        if not d2:
             raise NewtonDivergenceError(f"critical Newton derivative at t={t}")
-        step = (z - target) / dz
-        if abs(step) <= step_floor * (1 + abs(c)):
-            break  # cannot move at this precision
-        c = c - step
+        if N == 1:
+            # (f / dz) 2^F = f conj(dz) 2^F / |dz|^2
+            sr = ((fr * dr + fi * di) << F) // d2
+            si = ((fi * dr - fr * di) << F) // d2
+        else:
+            # |z_K| >= 2^2F dwarfs the target and any residual
+            z, dz = _escaped(zr, zi, dr, di, N, F)
+            sr, si = _to_fixed((z - target) / dz, F)
+        # |step| <= 2^(8 - bits) (1 + |c|): cannot move at this precision
+        c_mag = one + math.isqrt(cr * cr + ci * ci)  # (1 + |c|) 2^F
+        if (sr * sr + si * si) << 2 * (bits - 8) <= c_mag * c_mag:
+            break
+        cr, ci = cr - sr, ci - si
     # deep orbits lose ~2 bits per level to cancellation, so accept a
     # residual within a few orders of the requested tolerance
-    if best_f <= tol * 2 ** 24:
-        return best_c
-    if best_f <= mp.sqrt(tol * abs(target)):
+    # (best_f <= tol 2^24), and call a stall within sqrt(tol |target|)
+    # a precision limit
+    if best_f2 is not None and best_f2 << (2 * h - 48) <= t2:
+        return _from_fixed(*best_c, F, bits)
+    where = f"potential {mp.nstr(mp.mpf(t), 8)}"
+    if best_f2 is None:
+        raise NewtonDivergenceError(
+            f"no convergence in {_NEWTON_MAX_ITERS} iterations at {where} "
+            "(every orbit escaped)"
+        )
+    best_f = mp.nstr(mp.ldexp(mp.sqrt(best_f2), -F), 5)
+    if best_f2 << h <= t2:
         raise PrecisionExhaustedError(
-            f"Newton stalled at residual {mp.nstr(best_f, 5)} with "
-            f"{bits} bits at potential {mp.nstr(mp.mpf(t), 8)}"
+            f"Newton stalled at residual {best_f} with {bits} bits at {where}"
         )
     raise NewtonDivergenceError(
-        f"no convergence in {_NEWTON_MAX_ITERS} iterations at potential "
-        f"{mp.nstr(mp.mpf(t), 8)} (best residual {mp.nstr(best_f, 5)})"
+        f"no convergence in {_NEWTON_MAX_ITERS} iterations at {where} "
+        f"(best residual {best_f})"
     )
 
 

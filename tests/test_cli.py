@@ -296,6 +296,23 @@ def test_ray_trace_subnormal_potential_is_classified():
     assert "Traceback" not in proc.stderr, proc.stderr
     doc = json.loads(proc.stdout)
     assert (proc.returncode, doc["error"]["kind"]) == (1, "numeric")
+    # every iterate's orbit escaped, so no residual is quoted: the detail
+    # once carried one with a 300-digit exponent
+    assert "escaped" in doc["error"]["detail"]
+    assert len(doc["error"]["detail"]) < 120, doc["error"]["detail"]
+
+
+def test_ray_trace_huge_start_potential_is_the_target():
+    # at depth 0 the ray equation reads c = exp(t + 2 pi i angle); the
+    # start at 1e15 once became a fixed-point integer of ~1.4e15 bits
+    code, doc = run_json(["ray", "trace", "--n", "2", "--angle", "1/3",
+                          "--potential-start", "1e15", "--potential-end", "1"])
+    assert code == 0
+    first, last = doc["points"][0], doc["points"][-1]
+    assert first["potential"] == "1000000000000000.0"
+    assert first["c"]["re"].endswith("e+434294481903251")
+    assert float(last["potential"]) == 1.0
+    assert abs(complex(float(last["c"]["re"]), float(last["c"]["im"]))) < 10
 
 
 def test_internal_arithmetic_error_is_classified(monkeypatch):

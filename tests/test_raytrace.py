@@ -4,18 +4,26 @@ import mpmath as mp
 import pytest
 
 from unicrit.dynmaps import misiurewicz_poly, parabolic_param_poly
+from unicrit import raytrace
 from unicrit.polycore import IntPoly
 from unicrit.raytrace import (
     _GUARD_BITS,
+    _NEWTON_MAX_ITERS,
     _TAU_POLISH,
     TAU_ESCAPE,
     Angle,
+    NewtonDivergenceError,
     PrecisionExhaustedError,
     RayPath,
+    RayTraceError,
     _candidate_poly,
     _depth,
+    _escaped,
+    _from_fixed,
     _orbit,
+    _ray_target,
     _solve_ray_point,
+    _to_fixed,
     angle_orbit,
     complex_roots,
     land_and_match,
@@ -214,6 +222,16 @@ def _rel_err(x, ref):
     return abs(x - ref) / abs(ref)
 
 
+def _kernel(n, c, K, bits):
+    """_orbit at c as mpc values at the ambient precision."""
+    F = bits + _GUARD_BITS
+    zr, zi, dr, di, N = raytrace._orbit(n, *_to_fixed(c, F), K, F)
+    if N > 1:
+        z, dz = _escaped(zr, zi, dr, di, N, F)
+        return +z, +dz
+    return _from_fixed(zr, zi, F, bits), _from_fixed(dr, di, F, bits)
+
+
 @pytest.mark.parametrize("bits", [53, 256])
 @pytest.mark.parametrize("K", [0, 1, 7, 40])
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -221,7 +239,7 @@ def test_orbit_kernel_matches_mpc_loop(n, K, bits):
     for c, escapes in _kernel_cases(n, K):
         with mp.workprec(bits):
             c = +c
-            z, dz = _orbit(n, c, K, bits)
+            z, dz = _kernel(n, c, K, bits)
         # the reference runs far above the kernel's precision, so what is
         # compared is the kernel's own rounding
         with mp.workprec(4 * bits + 400):
@@ -242,7 +260,7 @@ def test_orbit_kernel_fast_escape_no_worse_than_mpc_loop(n):
     # closed form, and keeps the error of its guard bits.
     bits, K, c = 53, 40, mp.mpc("-3", "-4")
     with mp.workprec(bits):
-        z, dz = _orbit(n, c, K, bits)
+        z, dz = _kernel(n, c, K, bits)
         z_old, dz_old = _mpc_orbit(n, c, K)
     with mp.workprec(4 * bits + 400):
         z_ref, dz_ref = _mpc_orbit(n, c, K)
@@ -260,6 +278,125 @@ def test_solve_ray_point_reports_precision_exhaustion():
     with mp.workprec(128):
         with pytest.raises(PrecisionExhaustedError, match="with 128 bits"):
             _solve_ray_point(2, Angle(1, 2), t, c, 128)
+
+
+# ---------------------------------------------------------------- Newton loop
+
+def _mpc_solve(n, angle, t, c0, bits, tau=TAU_ESCAPE):
+    """The mpc Newton loop the fixed-point one replaced, on the same orbit
+    kernel."""
+    K = _depth(n, t, tau)
+    target = _ray_target(n, angle, t, K)
+    tol = abs(target) * mp.mpf(2) ** -(bits // 2)
+    step_floor = mp.mpf(2) ** (8 - bits)
+    c = mp.mpc(c0) if c0 is not None else target
+    best_c, best_f = c, mp.inf
+    for _ in range(_NEWTON_MAX_ITERS):
+        z, dz = _kernel(n, c, K, bits)
+        f = abs(z - target)
+        if f < best_f:
+            best_c, best_f = c, f
+        if f <= tol:
+            return c
+        if dz == 0:
+            raise NewtonDivergenceError(f"critical Newton derivative at t={t}")
+        step = (z - target) / dz
+        if abs(step) <= step_floor * (1 + abs(c)):
+            break
+        c = c - step
+    if best_f <= tol * 2 ** 24:
+        return best_c
+    if best_f <= mp.sqrt(tol * abs(target)):
+        raise PrecisionExhaustedError(f"Newton stalled at residual {best_f}")
+    raise NewtonDivergenceError(f"best residual {best_f}")
+
+
+def _outcome(monkeypatch, solve):
+    """(c or the exception class, orbit evaluations) of one solve."""
+    calls, kernel = [], raytrace._orbit
+    with monkeypatch.context() as m:
+        m.setattr(raytrace, "_orbit", lambda *a: calls.append(1) or kernel(*a))
+        try:
+            return solve(), len(calls)
+        except RayTraceError as exc:
+            return type(exc), len(calls)
+
+
+def _assert_same_outcome(n, angle, t, K, bits, reference, outcome):
+    # the same exception class, or c within tol; and, but for K = 0, which
+    # returns the target without an orbit, the same number of iterations
+    (ref, ref_iters), (got, iters) = reference, outcome
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        tol = abs(_ray_target(n, angle, t, K)) * mp.mpf(2) ** -(bits // 2)
+        assert abs(got - ref) <= tol
+    assert iters == (0 if K == 0 else ref_iters)
+
+
+# the ray, per n, whose traced points start the Newton comparisons: the
+# parabolic 1/3 for n = 2 and period-2 angles for n = 3, 4
+_NEWTON_ANGLE = {2: Angle(1, 3), 3: Angle(1, 4), 4: Angle(1, 5)}
+
+
+@pytest.fixture(scope="module")
+def deep_rays():
+    # each ray traced down to depth 40
+    return {n: trace_param_ray(n, a, potential_end=TAU_ESCAPE / n ** 40,
+                               steps_per_halving=4)
+            for n, a in _NEWTON_ANGLE.items()}
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("K", [0, 7, 40])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_newton_loop_matches_mpc_loop(deep_rays, monkeypatch, n, K, bits):
+    # solve at the first traced potential of depth K, from the point traced
+    # one step before it
+    angle, points = _NEWTON_ANGLE[n], deep_rays[n].points
+    i = next(i for i, (t, _) in enumerate(points) if _depth(n, t) == K and i)
+    (_, c0), (t, _) = points[i - 1], points[i]
+    with mp.workprec(bits):
+        c0, t = +c0, +t
+        ref = _outcome(monkeypatch, lambda: _mpc_solve(n, angle, t, c0, bits))
+        got = _outcome(monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits))
+        _assert_same_outcome(n, angle, t, K, bits, ref, got)
+
+
+@pytest.mark.parametrize("bits", [53, 96, 128])
+def test_newton_loop_stalls_like_mpc_loop(monkeypatch, bits):
+    # 256-bit points near the Misiurewicz landing -2 of the 1/2 ray, solved
+    # again at fewer bits: each solve stops at the step floor after its
+    # first iteration, converged or not, and is classified as the mpc
+    # loop classifies it (at 1e-14, PrecisionExhaustedError with 128 bits
+    # and NewtonDivergenceError with 96 or fewer)
+    angle = Angle(1, 2)
+    points = trace_param_ray(2, angle, potential_end=1e-14).points
+    for t, c0 in (points[-1], points[-20]):
+        with mp.workprec(bits):
+            c0, t = +c0, +t
+            ref = _outcome(monkeypatch, lambda: _mpc_solve(2, angle, t, c0, bits))
+            got = _outcome(monkeypatch, lambda: _solve_ray_point(2, angle, t, c0, bits))
+            assert ref[1] == 1
+            _assert_same_outcome(2, angle, t, _depth(2, t), bits, ref, got)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_newton_loop_escape_step_matches_mpc_loop(monkeypatch, bits):
+    # depth 1 with |target| = 2^(2F - 4), so the solution lies near radius
+    # 2^(F - 2); the start at radius 2^(F + 1) leaves radius 2^F at once,
+    # and the first step is the closed-form escape step taken in mpc
+    n, angle, F = 2, Angle(1, 3), bits + _GUARD_BITS
+    with mp.workprec(bits):
+        t = (F - 2) * mp.log(2)
+        tau = float(1.5 * t)
+        c0 = mp.mpf(2) ** (F + 1) * mp.expjpi(mp.mpf(2) / 3)
+        assert _depth(n, t, tau) == 1
+        assert _orbit(n, *_to_fixed(c0, F), 1, F)[4] == n
+        ref = _outcome(monkeypatch, lambda: _mpc_solve(n, angle, t, c0, bits, tau))
+        got = _outcome(monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits, tau))
+        assert not isinstance(ref[0], type)
+        _assert_same_outcome(n, angle, t, 1, bits, ref, got)
 
 
 # ---------------------------------------------------------------- roots

@@ -7,8 +7,9 @@ Pair i runs `perfbench/run.py --workload W --seed i --seconds S --trace 0`
 once in each checkout, where S is the `run_seconds` of the parent's
 BENCHMARK.json, each from the checkout's own root, with the parent
 first in odd pairs and the change first in even ones, so a drift of the
-machine's speed does not favour one side.  A run that is not `correct` or
-that reports failed calls stops the tool with an error.
+machine's speed does not favour one side.  After the pairs, one run with
+`--trace 1` per side gives the per-layer metrics of its spans.  A run that
+is not `correct` or that reports failed calls stops the tool with an error.
 
 Both sides run from bytecode compiled from their own sources: every run
 reads and writes no `__pycache__` in either checkout, only a fresh
@@ -19,8 +20,10 @@ timed runs write nothing there either (PYTHONDONTWRITEBYTECODE).
 For each end-to-end metric of the parent's BENCHMARK.json it reports every
 run's value, both sides' medians and quartiles, and the pairs the change
 won (ties count for neither side), and prints the matching CHANGES.md
-table row.  With --out the result is stored under the workload's name in
-that JSON file, next to the workloads already there.  It also prints, and
+table row, then each per-layer metric of the traced runs.  With --out the
+result is stored under the workload's name in that JSON file, next to the
+workloads already there, and the traced metrics of both sides under that
+workload's `trace` key.  It also prints, and
 with --out stores as `src_lines`, the lines of `src/unicrit/*.py` in each
 checkout.
 """
@@ -49,10 +52,11 @@ def warm(root: Path, env: dict) -> None:
                    env={k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"})
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, env: dict,
+             trace: int = 0) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
@@ -128,14 +132,19 @@ def main(argv=None) -> int:
                 run[side] = run_once(getattr(args, side), args.workload, seed, seconds, env)
             runs.append(run)
             print(f"pair {seed}: " + json.dumps(run), file=sys.stderr, flush=True)
+        traced = {side: run_once(getattr(args, side), args.workload, 1, seconds, env, trace=1)
+                  for side in ("parent", "change")}
     stats = compare(metrics, runs)
     lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        doc[args.workload] = {"seconds": seconds, "runs": runs, "metrics": stats}
+        doc[args.workload] = {"seconds": seconds, "runs": runs, "metrics": stats,
+                              "trace": traced}
         doc["src_lines"] = lines
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(table_row(args.workload, len(runs), stats))
+    for name in sorted(traced["parent"]):
+        print(f"trace {name}: {traced['parent'][name]} → {traced['change'].get(name)}")
     print("src_lines: " + json.dumps(lines))
     return 0
 
