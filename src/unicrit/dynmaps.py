@@ -14,6 +14,7 @@ racing double construction computes identical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,7 @@ from .polycore import (
     BiPoly,
     IntPoly,
     cyclotomic,
+    euler_phi,
     gcd_fast,
     moebius,
     poly_from_json,
@@ -64,12 +66,11 @@ COORDINATES = ("c", "chat", "b", "bhat")
 
 
 class DegreeCapError(Exception):
-    """A construction would exceed the configured degree cap."""
+    """A construction would exceed the configured degree cap, or the size
+    that the cap allows an iterate (see _check_iterate_cap)."""
 
-    def __init__(self, needed: int, cap: int):
-        super().__init__(
-            f"construction needs degree {needed}, which exceeds the cap {cap}"
-        )
+    def __init__(self, needed, cap, what: str = "degree"):
+        super().__init__(f"construction needs {what} {needed}, which exceeds the cap {cap}")
         self.needed = needed
         self.cap = cap
 
@@ -86,6 +87,32 @@ def _require(cond: bool, msg: str) -> None:
 def _check_cap(needed: int, cap: int) -> None:
     if needed > cap:
         raise DegreeCapError(needed, cap)
+
+
+# size allowed an iterate per unit of degree cap, in coefficient bits: the
+# default cap admits 2^28 bits (32 MiB), f^10 of z^2 + c (2^27.2 bits, built
+# in ~4 minutes) but not f^11 (2^30.2 bits, ~20x the time)
+_CAP_BITS_PER_DEGREE = 1 << 16
+
+
+def _check_iterate_cap(n: int, k: int, cap: int) -> None:
+    """Refuse an iterate of z^n + c of degree n^k above the cap, or one
+    whose estimated size exceeds cap * _CAP_BITS_PER_DEGREE bits, before
+    any work.  The size is the cells c^i z^j with n i + j <= n^k times the
+    bits of f^k(1) at c = 1, which bounds every coefficient of f^k; the
+    form (w^n + b)/n and the products over its iterates are of the same
+    size up to a small factor."""
+    _check_cap(n ** k, cap)
+    bits = 1.0  # log2 f^j(1) at c = 1: f^(j+1)(1) = f^j(1)^n + 1
+    for _ in range(k - 1):
+        bits = n * bits + math.log2(1 + 2.0 ** (-n * bits))
+    # in log2, as bits overflows a float past degree 2^1024
+    size = math.log2((n ** (k - 1) + 1) * (n ** k + 2) // 2) + math.log2(bits)
+    allowed = math.log2(cap * _CAP_BITS_PER_DEGREE)
+    if size > allowed:
+        raise DegreeCapError(
+            f"2^{size:.1f}", f"2^{allowed:.1f}", "an estimated size in coefficient bits of"
+        )
 
 
 def _validate_n(n: int) -> None:
@@ -174,7 +201,7 @@ def iterate_map(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> BiPoly:
     """k-th iterate of z^n + c as an exact polynomial in (c, z)."""
     _validate_n(n)
     _require(k >= 1, "iterate index k must be >= 1")
-    _check_cap(n ** k, degree_cap)
+    _check_iterate_cap(n, k, degree_cap)
     return _iterate_fc(n, k)
 
 
@@ -194,7 +221,7 @@ def iterate_poly_gb(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ite
     """
     _validate_n(n)
     _require(k >= 1, "iterate index k must be >= 1")
-    _check_cap(n ** k, degree_cap)
+    _check_iterate_cap(n, k, degree_cap)
     poly, denom = _iterate_gb(n, k)
     return IteratePair(poly, denom, k)
 
@@ -275,7 +302,7 @@ def dynatomic(
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
     _require(form in ("f_c", "g_b"), f"unknown dynatomic form {form!r}")
-    _check_cap(n ** h, degree_cap)
+    _check_iterate_cap(n, h, degree_cap)
     return _dynatomic(n, h, form)
 
 
@@ -299,7 +326,7 @@ def multiplier_poly(n: int, h: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> BiP
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
-    _check_cap(n ** h, degree_cap)
+    _check_iterate_cap(n, h, degree_cap)
     return _multiplier(n, h)
 
 
@@ -315,7 +342,7 @@ def multiplier_resultant(
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
-    _check_cap(n ** h, degree_cap)
+    _check_iterate_cap(n, h, degree_cap)
     return _multiplier_resultant(n, h)
 
 
@@ -516,6 +543,47 @@ def misiurewicz_poly(
     return pp if coordinate == "chat" else coord_transform(pp, coordinate)
 
 
+# fractional bits of the fixed-point upper bound on rho(2^e) in
+# _parabolic_bounds
+_RHO_BITS = 32
+
+
+def _parabolic_bounds(n: int, h: int, m: int, dz: int) -> tuple[int, int]:
+    """Degree and coefficient bits bounding R(c) = Res_z(Phi_h, Psi_m(W)),
+    W = (f^h)', where Phi_h has degree dz in z.
+
+    Phi_h is monic in z, so R(c) = prod Psi_m(W(c, z_i)) over its roots
+    z_i, and every z_i is periodic.  Each periodic point of z^n + c, and
+    so each point of its orbit, lies in |z| <= rho(|c|), the root of
+    rho^n - rho = |c|: past it |f(z)| >= |z|^n - |c| > |z|, and the orbit
+    never returns.  So |W(z_i)| <= n^h rho^(h(n-1)) and
+    |R(c)| <= M(|c|) = (n^h rho(|c|)^(h(n-1)) + 1)^(phi(m) dz).  As rho(r)
+    grows like r^(1/n), deg R <= D = dz h (n-1) phi(m) / n, and by Cauchy's
+    estimate coefficient k has |a_k| <= M(r) / r^k for every r > 0.  The
+    bit bound is the largest over k of the least log2 M(2^e) - k e over
+    e = 0, ..., E, in integers: rho(2^e) is rounded up to a multiple of
+    2^-_RHO_BITS and M's numerator taken to its power exactly, so each
+    step rounds up.
+    """
+    b, exp = h * (n - 1), euler_phi(m) * dz
+    degree = exp * b // n
+    F = _RHO_BITS
+    logs = []
+    for e in range(2 * (degree * b).bit_length() + 9):
+        # least P with (P/2^F)^n - P/2^F >= 2^e, by bisection
+        lo, hi = 1 << F, 1 << (F + e // n + 2)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid ** n - (mid << (F * (n - 1))) >= 1 << (e + n * F):
+                hi = mid
+            else:
+                lo = mid + 1
+        # M(2^e) <= ((n^h P^b + 2^(F b)) / 2^(F b))^exp
+        logs.append(((n ** h * lo ** b + (1 << (F * b))) ** exp).bit_length() - F * b * exp)
+    height = max(min(L - k * e for e, L in enumerate(logs)) for k in range(degree + 1))
+    return degree, height
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parabolic(n: int, h: int, m: int) -> IntPoly:
     phi = _dynatomic(n, h, "f_c")
@@ -524,7 +592,8 @@ def _parabolic(n: int, h: int, m: int) -> IntPoly:
     B = BiPoly.const(psi.coeff(psi.degree), "c", "z")
     for i in range(psi.degree - 1, -1, -1):
         B = B * W + psi.coeff(i)
-    return squarefree_part(resultant(phi, B, eliminate="z"))
+    bounds = _parabolic_bounds(n, h, m, phi.degree("z"))
+    return squarefree_part(resultant(phi, B, eliminate="z", bounds=bounds))
 
 
 def parabolic_param_poly(
@@ -539,10 +608,13 @@ def parabolic_param_poly(
 
     Radical of the elimination of z from Phi_h and Psi_m((f^h)'), which
     equals the radical of Res_mu(q(c, mu), Psi_m(mu)) for the multiplier
-    resultant q.  Squarefree and primitive, but not irreducible in
-    general: the (mu - mu0)^h orbit structure and orbit merges at
-    bifurcation parameters can contribute extra factors (for m = 1, the
-    cells (h', m') with h' m' = h merge in).  Callers pick factors.
+    resultant q.  The elimination is exact: small cells take the
+    subresultant PRS, and larger ones the modular route on the degree and
+    height bounds that _parabolic_bounds proves from the dynamics.
+    Squarefree and primitive, but not irreducible in general: the
+    (mu - mu0)^h orbit structure and orbit merges at bifurcation parameters
+    can contribute extra factors (for m = 1, the cells (h', m') with
+    h' m' = h merge in).  Callers pick factors.
 
     The associated ray period is r = h * m.  Coordinate b is produced as a
     polynomial satisfied by b via bhat = b^(n-1).
@@ -551,7 +623,7 @@ def parabolic_param_poly(
     _require(h >= 1, "period h must be >= 1")
     _require(m >= 1, "root-of-unity order m must be >= 1")
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
-    _check_cap(n ** h, degree_cap)
+    _check_iterate_cap(n, h, degree_cap)
     native = ParamPolynomial(
         _parabolic(n, h, m), "c", n, {"kind": "parabolic", "h": h, "m": m}
     )

@@ -10,9 +10,9 @@ of z^n + c at rational parameters.
 No integral bases, no ideal arithmetic: integrality is always certified
 through the minimal polynomial, which keeps everything elementary and
 exact.  Characteristic polynomials, and so minimal polynomials, norms and
-traces, come from polycore's exact subresultant resultant at every degree,
-never from its early-stop modular route.  All values are immutable and
-all functions pure.
+traces, come from polycore's exact subresultant resultant at every degree:
+one univariate resultant per point, with no height bound to prove.  All
+values are immutable and all functions pure.
 """
 
 from __future__ import annotations
@@ -275,8 +275,9 @@ def _char_poly(e: FieldElement) -> RatPoly:
     With D the lcm of e's coordinate denominators, E = D*e and M the
     cleared modulus, Res_x(M, D*y - E) = lc(M)^deg E * D^d * prod (y - e(alpha))
     (Cohen, GTM 138, 4.3).  It comes from polycore's exact subresultant
-    route, never the early-stop modular one, so integrality certificates
-    rest on an exact polynomial.
+    route at every degree, never the modular one, whose generic height
+    bound is far above the truth for a field of large degree; integrality
+    certificates rest on this exact polynomial.
     """
     d = e.field.degree
     if e.is_rational:

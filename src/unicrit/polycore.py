@@ -9,14 +9,17 @@ integers, with the elimination toolkit the rest of the package is built on:
 * primitive gcd via the subresultant PRS, whose one loop also serves the
   resultant, and a certified modular gcd, which squarefree_part uses;
 * cyclotomic polynomials, the Moebius function;
-* root transforms (alpha -> alpha^k and alpha -> s*alpha).
+* root transforms (alpha -> alpha^k as a norm determinant, and
+  alpha -> s*alpha).
 
 Everything here is a pure function of immutable values.  Coefficients are
 arbitrary-precision; nothing ever rounds.  Large bivariate eliminations are
-computed through mod-p images recombined by CRT.  The default modular route
-stops once the symmetric lift survives two extra primes unchanged, which is
-a heuristic, not a proof: only its fallback runs to the rigorous
-Sylvester-determinant height bound.  gcd_fast certifies what it returns, and
+computed through mod-p images recombined by CRT, at a degree bound and a
+coefficient height bound known in advance: the caller's, proved from the
+structure of its inputs (dynmaps._parabolic proves one from the dynamics),
+or else the generic Bezout degree and the Hadamard bound of the Sylvester
+matrix.  The images run until the modulus passes twice the height bound,
+so the lift is the resultant.  gcd_fast certifies what it returns, and
 product_equals compares an exact product.
 
 Every polynomial product, over Z or Z/m, univariate or bivariate, is one
@@ -31,13 +34,14 @@ The modular kernel section is the package's one copy of coefficient-list
 arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
 gcd, symmetric lift and CRT step.  factorz builds on it.  GF(p)
 resultants have one routine too, _vector_resultants_mod_p, which takes a
-batch of evaluation points as numpy rows.
+batch of (prime, evaluation point) pairs as numpy rows, so one call
+covers every prime of a batch.
 
 Both resultant routes evaluate at one run of consecutive integers s, s+1,
 ..., the first at which no leading coefficient in the eliminated variable
 vanishes (s = 0 for every caller in the package).  Level j of the divided
-differences then divides by j: exactly in Z on the bigint route, by one
-scalar inverse on the modular one.
+differences then divides by j: exactly in Z on the bigint route, by the
+inverse of j mod each prime on the modular one.
 """
 
 from __future__ import annotations
@@ -1013,42 +1017,58 @@ def _resultant_points_bigint(
 
 
 def _vector_resultants_mod_p(
-    A: np.ndarray, B: np.ndarray, p: int
+    A: np.ndarray, B: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
-    """Resultants over GF(p) of the row pairs of A and B, one row per point.
+    """Resultants of the row pairs of A and B, row i over GF(p[i]).
 
-    Rows are coefficients in descending order, each with a nonzero leading
-    column.  Euclid runs on groups of rows that share a degree pair.  A
-    remainder with s extra leading zeros has degree dr = db - 1 - s, and
-    its row takes Res(a, b) = (-1)^(da*db) * lc(b)^(da - dr) * Res(b, r);
-    a zero remainder gives 0.  Groups that reach the same pair merge again,
-    so sparse inputs, whose degrees drop alike at every point, stay in one
-    group.
+    Rows are coefficients in descending order, each with a leading column
+    that is nonzero mod its prime.  Euclid runs fraction-free on groups of
+    rows that share a degree pair.  A row's pseudo-remainder
+    r = lc(b)^(da - db + 1) * a mod b with s extra leading zeros has degree
+    dr = db - 1 - s, and
+    Res(a, b) = (-1)^(da*db) * lc(b)^(da - dr - (da - db + 1)*db) * Res(b, r);
+    a zero remainder gives 0.  A row keeps the negative powers of lc(b) as
+    a denominator and divides once at the end, so no Euclid step inverts.
+    Groups that reach the same pair merge again, so sparse inputs, whose
+    degrees drop alike at every point, stay in one group.
     """
     out = np.zeros(A.shape[0], dtype=np.int64)
-    res = np.ones(A.shape[0], dtype=np.int64)
+    dens = np.ones(A.shape[0], dtype=np.int64)
+    num = np.ones(A.shape[0], dtype=np.int64)
 
-    def power(v: np.ndarray, e: int) -> np.ndarray:
-        return _power(v, e, np.ones_like(v), lambda u, w: u * w % p)
+    def power(v: np.ndarray, e: int, q: np.ndarray) -> np.ndarray:
+        return _power(v, e, np.ones_like(v), lambda u, w: u * w % q)
 
     if A.shape[1] < B.shape[1]:
         A, B = B, A
         if (A.shape[1] - 1) * (B.shape[1] - 1) % 2:
-            res[:] = p - 1
-    # (deg a, deg b) -> parts (rows of out, a, b, running product) to merge
-    groups = {(A.shape[1] - 1, B.shape[1] - 1): [(np.arange(A.shape[0]), A % p, B % p, res)]}
+            num = p - 1
+    # (deg a, deg b) -> parts (rows of out, a, b, numerator, denominator,
+    # primes) to merge
+    groups = {
+        (A.shape[1] - 1, B.shape[1] - 1): [
+            (np.arange(A.shape[0]), A % p[:, None], B % p[:, None], num, dens, p)
+        ]
+    }
     while groups:
         da, db = key = max(groups)
         parts = groups.pop(key)
-        rows, a, b, res = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        rows, a, b, num, den, q = (
+            parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        )
+        lead = b[:, 0]
         if db == 0:
-            out[rows] = res * power(b[:, 0], da) % p
+            out[rows] = num * power(lead, da, q) % q
+            dens[rows] = den
             continue
-        inv = power(b[:, 0], p - 2)
-        r = a.copy()
+        qc, lc = q[:, None], lead[:, None]
+        r = a  # each part's a is its own array: A % p, a merge, or a step's b
         for k in range(da - db + 1):
-            f = r[:, k] * inv % p
-            r[:, k : k + db + 1] = (r[:, k : k + db + 1] - f[:, None] * b) % p
+            # r <- lc(b) * r - r_k * x^(da - db - k) * b: column k cancels
+            tail = r[:, k + 1 :]
+            tail *= lc
+            tail[:, :db] -= r[:, k : k + 1] * b[:, 1:]
+            np.remainder(tail, qc, out=tail)
         r = r[:, da - db + 1 :]
         # leading zeros of each remainder (db when it is zero)
         shifts = {0}
@@ -1063,129 +1083,125 @@ def _vector_resultants_mod_p(
             if s == db:
                 continue  # Res(a, b) = 0; out is zero there already
             dr = db - 1 - s
-            part = res[sel] * power(b[sel, 0], da - dr) % p
+            e = da - dr - (da - db + 1) * db
+            n_s, d_s, q_s = num[sel], den[sel], q[sel]
+            if e >= 0:
+                n_s = n_s * power(lead[sel], e, q_s) % q_s
+            else:
+                d_s = d_s * power(lead[sel], -e, q_s) % q_s
             if da * db % 2:
-                part = (p - part) % p
-            groups.setdefault((db, dr), []).append((rows[sel], b[sel], r[sel, s:], part))
-    return out
+                n_s = (q_s - n_s) % q_s
+            groups.setdefault((db, dr), []).append(
+                (rows[sel], b[sel], r[sel, s:], n_s, d_s, q_s)
+            )
+    inv = [pow(d, -1, q) for d, q in zip(dens.tolist(), p.tolist())]
+    return out * np.array(inv, dtype=np.int64) % p
 
 
-def _newton_interpolate_mod_p(start: int, ys: np.ndarray, p: int) -> np.ndarray:
-    """Monomial coefficients (ascending) over GF(p) of the interpolant
-    taking ys[i] at start + i; level j of the divided differences divides by j."""
-    m = ys.size
-    dd = ys % p
+def _newton_interpolate_mod_p(start: int, ys: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Monomial coefficients (ascending) of the interpolants taking ys[i, j]
+    at start + j over GF(p[i]), one row per prime; level j of the divided
+    differences divides by j."""
+    m = ys.shape[1]
+    q = p[:, None]
+    inv = np.array(
+        [[pow(j, -1, pi) for j in range(1, m)] for pi in p.tolist()], dtype=np.int64
+    ).reshape(p.size, m - 1)
+    dd = ys % q
     for j in range(1, m):
-        dd[j:] = (dd[j:] - dd[j - 1 : m - 1]) * pow(j, -1, p) % p
-    coeffs = np.zeros(m, dtype=np.int64)
+        dd[:, j:] = (dd[:, j:] - dd[:, j - 1 : m - 1]) * inv[:, j - 1 : j] % q
+    coeffs = np.zeros_like(dd)
     for k in range(m - 1, -1, -1):
-        shifted = np.concatenate((dd[k : k + 1], coeffs[:-1]))
-        coeffs = (shifted - coeffs * ((start + k) % p)) % p
+        shifted = np.concatenate((dd[:, k : k + 1], coeffs[:, :-1]), axis=1)
+        coeffs = (shifted - coeffs * ((start + k) % q)) % q
     return coeffs
 
 
-def _resultant_image_mod_p(
-    a_cols: list[IntPoly], b_cols: list[IntPoly], start: int, p: int, width: int
-) -> list[int] | None:
-    """Ascending coefficients mod p of the kept-variable resultant, from
-    the points start, ..., start + width - 1.
+def _resultant_images_mod_p(
+    a_cols: list[IntPoly], b_cols: list[IntPoly], start: int, primes: list[int], width: int
+) -> list[list[int] | None]:
+    """Ascending coefficients of the kept-variable resultant mod each prime,
+    from the points start, ..., start + width - 1.
 
-    None when p divides a leading coefficient at one of the points.
+    One batch: every (prime, point) pair is a row of the evaluation
+    matrices, of the vector PRS and, per prime, of the interpolation.  An
+    image is None when its prime divides a leading coefficient at one of
+    the points.
     """
-    pts = np.arange(start, start + width, dtype=np.int64) % p
+    p = np.array(primes, dtype=np.int64)
+    q = p[:, None]
+    pts = np.arange(start, start + width, dtype=np.int64) % q
 
     def col_matrix(cols: list[IntPoly]) -> np.ndarray:
-        out = np.empty((pts.size, len(cols)), dtype=np.int64)
+        out = np.empty((p.size, width, len(cols)), dtype=np.int64)
         for j, poly in enumerate(cols):
-            accv = np.zeros(pts.size, dtype=np.int64)
-            for c in reversed(poly.coeffs):
-                accv = (accv * pts + c % p) % p
-            out[:, j] = accv
-        return out[:, ::-1]  # descending degree
+            residues = np.array(
+                [[c % pi for pi in primes] for c in poly.coeffs], dtype=np.int64
+            )
+            acc = np.zeros_like(pts)
+            for res in residues[::-1]:
+                acc = (acc * pts + res[:, None]) % q
+            out[:, :, len(cols) - 1 - j] = acc  # descending degree
+        return out.reshape(p.size * width, len(cols))
 
     a, b = col_matrix(a_cols), col_matrix(b_cols)
-    if not (a[:, 0].all() and b[:, 0].all()):
-        return None
-    vals = _vector_resultants_mod_p(a, b, p)
-    return [int(v) for v in _newton_interpolate_mod_p(start, vals, p)]
+    good = ((a[:, 0] != 0) & (b[:, 0] != 0)).reshape(p.size, width).all(axis=1)
+    if not good.all():
+        rows = np.repeat(good, width)
+        a, b = a[rows], b[rows]
+    vals = _vector_resultants_mod_p(a, b, np.repeat(p[good], width))
+    images = iter(_newton_interpolate_mod_p(start, vals.reshape(-1, width), p[good]).tolist())
+    return [next(images) if ok else None for ok in good.tolist()]
+
+
+# A batch of the modular resultant holds whole primes and at most this many
+# int64 entries (rows times columns) in either evaluation matrix, 8 MiB.
+_BATCH_ENTRIES = 1 << 20
 
 
 def _resultant_points_modular(
-    a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str, certified: bool = False
+    a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str, degree: int, height_bits: int
 ) -> IntPoly:
-    """Multimodular resultant with degree discovery and early termination.
+    """Multimodular resultant of degree at most `degree` with coefficients
+    of at most `height_bits` bits; both bounds are the caller's to prove.
 
-    The Bezout-style degree bound dk and the Hadamard-style bit bound are
-    both far above the truth for structured inputs, so paying them in full
-    is wasteful.  Two full-width primes that agree pin down the true degree
-    (a prime can only lower it, never raise it); the remaining primes run
-    at that width and accumulate by incremental CRT until the symmetric
-    lift survives two extra primes unchanged.  That stop is a heuristic,
-    not a proof; the bit bound stays as the unconditional stop.  Every
-    prime evaluates at the same run of consecutive points (_point_run);
-    a prime that divides a leading coefficient at one of them is skipped.
-
-    certified=True skips both shortcuts: every prime runs at the full width
-    dk + 1 until the modulus passes the bit bound, so the result is proven.
+    Each prime's image interpolates the resultant's values at degree + 1
+    consecutive points (_point_run), so it is the resultant mod p.  The
+    images accumulate by CRT until the modulus passes 2^(height_bits + 1),
+    and the symmetric lift is then the resultant itself.  The primes that
+    reach the bound are known before the first image, so they run in
+    batches of _BATCH_ENTRIES; a prime that divides a leading coefficient
+    at one of the points is skipped, and the next one takes its place.
     """
-    dk = _degree_bound_kept(a_cols, b_cols)
-    bound_bits = _det_height_bits(a_cols, b_cols, dk)
-    start = _point_run(a_cols[-1], b_cols[-1], dk + 1)
-    idx = 0
-
-    def image(width: int) -> tuple[int, list[int]]:
-        # the next prime that divides no leading coefficient at the points
-        nonlocal idx
-        while True:
-            p = _prime_at(idx)
+    width = degree + 1
+    start = _point_run(a_cols[-1], b_cols[-1], width)
+    per_batch = max(1, _BATCH_ENTRIES // (width * max(len(a_cols), len(b_cols))))
+    acc, modulus, idx = [0] * width, 1, 0
+    while modulus.bit_length() <= height_bits + 1:
+        primes, reach = [], modulus
+        while reach.bit_length() <= height_bits + 1 and len(primes) < per_batch:
+            primes.append(_prime_at(idx))
+            reach *= primes[-1]
             idx += 1
-            img = _resultant_image_mod_p(a_cols, b_cols, start, p, width)
+        for p, img in zip(primes, _resultant_images_mod_p(a_cols, b_cols, start, primes, width)):
             if img is not None:
-                return p, img
-
-    full_images: list[tuple[int, list[int]]] = []
-    degs: list[int] = []
-    deg_true = dk
-    while not certified:
-        p, img = image(dk + 1)
-        full_images.append((p, img))
-        degs.append(max((i for i, v in enumerate(img) if v), default=-1))
-        if degs.count(-1) >= 3:
-            return IntPoly.zero(kept)
-        deg_true = max(degs)
-        if deg_true >= 0 and degs.count(deg_true) >= 2:
-            break
-
-    width = min(dk + 1, deg_true + 5)
-    acc, modulus = [0] * width, 1
-    for p, img in full_images:
-        acc, modulus = _crt(acc, modulus, img[:width], p)
-    prev: list[int] | None = None
-    stable = 0
-    while modulus.bit_length() <= bound_bits + 1:
-        if not certified:
-            cand = _symmetric(acc, modulus)
-            stable = stable + 1 if cand == prev else 0
-            if stable >= 2:
-                break
-            prev = cand
-        p, img = image(width)
-        if any(img[deg_true + 1 :]):
-            # degree discovery was beaten by two coinciding unlucky primes;
-            # the margin columns expose it, so redo at certified full width
-            return _resultant_points_modular(a_cols, b_cols, kept, certified=True)
-        acc, modulus = _crt(acc, modulus, img, p)
+                acc, modulus = _crt(acc, modulus, img, p)
     return IntPoly(_symmetric(acc, modulus), kept)
 
 
-def resultant(A: BiPoly, B: BiPoly, eliminate: str) -> IntPoly:
+def resultant(
+    A: BiPoly, B: BiPoly, eliminate: str, bounds: tuple[int, int] | None = None
+) -> IntPoly:
     """Sylvester resultant of A and B with respect to `eliminate`.
 
     Returns the signed resultant as a polynomial in the other variable.
     Satisfies Res(A*B, C) = Res(A, C) * Res(B, C).  Small inputs (degree
-    bound dk <= 64, height <= 2,048 bits) take the exact subresultant PRS
-    per point; larger ones the modular route, which stops on a stable CRT
-    lift (see _resultant_points_modular), so its result is not proven.
+    bound dk <= 64, Sylvester height bound <= 2,048 bits) take the exact
+    subresultant PRS per point.  Larger ones take the modular route, with
+    `bounds` = (degree, coefficient bits) when the caller proves a sharper
+    pair than the generic one (dynmaps._parabolic does, from the
+    dynamics), and otherwise with dk and the Hadamard bound of the
+    Sylvester matrix.  Either route's result is proven.
     """
     if A.vars != B.vars:
         raise ValueError(f"variable mismatch {A.vars} vs {B.vars}")
@@ -1204,17 +1220,40 @@ def resultant(A: BiPoly, B: BiPoly, eliminate: str) -> IntPoly:
     dk = _degree_bound_kept(a_cols, b_cols)
     if dk <= 64 and _det_height_bits(a_cols, b_cols, dk) <= 2048:
         return _resultant_points_bigint(a_cols, b_cols, kept)
-    return _resultant_points_modular(a_cols, b_cols, kept)
+    degree, height_bits = bounds or (dk, _det_height_bits(a_cols, b_cols, dk))
+    return _resultant_points_modular(a_cols, b_cols, kept, degree, height_bits)
 
 
 # ---------------------------------------------------------------------------
 # root transforms
 
 
+def _bareiss_det(rows: list[list[IntPoly]]) -> IntPoly:
+    """Determinant of a square matrix over Z[x] by fraction-free (Bareiss)
+    elimination: every division is exact, so the entries stay in Z[x]."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, IntPoly.const(1, m[0][0].var)
+    for i in range(len(m) - 1):
+        pivot = next((r for r in range(i, len(m)) if not m[r][i].is_zero), None)
+        if pivot is None:
+            return IntPoly.zero(prev.var)
+        if pivot != i:
+            m[i], m[pivot], sign = m[pivot], m[i], -sign
+        for r in range(i + 1, len(m)):
+            for c in range(i + 1, len(m)):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]).divexact(prev)
+        prev = m[i][i]
+    return m[-1][-1] * sign
+
+
 def root_power_transform(p: IntPoly, k: int) -> IntPoly:
     """Primitive polynomial whose roots are the k-th powers of p's roots.
 
-    Res_y(p(y), x - y^k).
+    Write p(y) = sum_{r < k} y^r p_r(y^k).  Over the k-th roots of unity
+    zeta^j, prod_j p(zeta^j y) = +-lc(p)^k prod (Y - alpha^k) with Y = y^k;
+    it is the norm of sum_r theta^r p_r(Y) from Z[Y][theta]/(theta^k - Y),
+    the determinant of its k x k multiplication matrix, computed exactly
+    over Z[Y].
 
     >>> root_power_transform(IntPoly((-3, 1)), 2).coeffs
     (-9, 1)
@@ -1225,12 +1264,14 @@ def root_power_transform(p: IntPoly, k: int) -> IntPoly:
         raise ValueError("power must be >= 1")
     if p.degree == 0:
         return p.primitive_part()
-    A = BiPoly.from_inner_poly(p.rename("y"), outer="x")
-    # x - y^k
-    rows = [tuple(0 for _ in range(k)) + (-1,), (1,)]
-    B = BiPoly(rows, "x", "y")
-    out = resultant(A, B, eliminate="y")
-    return out.rename(p.var).primitive_part()
+    parts = [IntPoly(p.coeffs[r::k], p.var) for r in range(k)]
+    Y = IntPoly.gen(p.var)
+    # column s is theta^s times the element: entry i holds its theta^i part
+    matrix = [
+        [parts[i - s] if i >= s else Y * parts[i - s + k] for s in range(k)]
+        for i in range(k)
+    ]
+    return _bareiss_det(matrix).primitive_part()
 
 
 def root_scale_transform(p: IntPoly, s: Fraction) -> IntPoly:

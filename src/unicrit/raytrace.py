@@ -167,9 +167,13 @@ class RayPath:
         }
 
 
+def _digits(bits: int) -> int:
+    return max(int(bits * 0.3013) + 2, 8)
+
+
 def _real_str(x, bits: int) -> str:
     with mp.workprec(bits):
-        return mp.nstr(mp.mpf(x), max(int(bits * 0.3013) + 2, 8))
+        return mp.nstr(mp.mpf(x), _digits(bits))
 
 
 def _complex_json(z, bits: int) -> dict:
@@ -180,6 +184,22 @@ def _complex_json(z, bits: int) -> dict:
         "im": _real_str(z.imag, bits),
         "bits": bits,
     }
+
+
+def _landing_json(z, bits: int) -> dict:
+    """_complex_json with both parts printed down to one decimal place: the
+    last of _digits(bits) significant digits of max(1, |z|).  A part far
+    below that scale keeps fewer digits (none prints 0.0), since its lower
+    ones would be rounding noise of the solves."""
+    with mp.workprec(bits):
+        z = mp.mpc(z)
+        top = int(mp.floor(mp.log10(max(mp.mpf(1), abs(z)))))
+
+        def part(x) -> str:
+            keep = _digits(bits) - top + int(mp.floor(mp.log10(abs(x)))) if x else 0
+            return mp.nstr(x, keep) if keep >= 1 else "0.0"
+
+        return {"re": part(z.real), "im": part(z.imag), "bits": bits}
 
 
 def _depth(n: int, t, tau: float = TAU_ESCAPE) -> int:
@@ -542,7 +562,7 @@ class LandingReport:
         return {
             "angle": str(self.angle),
             "n": self.n,
-            "landing": _complex_json(self.landing, self.precision_bits),
+            "landing": _landing_json(self.landing, self.precision_bits),
             "matched_factor": (
                 poly_to_json(self.matched_factor)
                 if self.matched_factor is not None

@@ -7,11 +7,12 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from unicrit import cli, verify
+from unicrit import cli, dynmaps, polycore, verify
 from unicrit.cli import COMMANDS, DEFAULT_ANGLES, main
 
 
@@ -91,6 +92,20 @@ def test_poly_iterate_degree_cap():
     code, doc = run_json(["poly", "iterate", "--n", "2", "--h", "13"])
     assert code == 3
     assert doc["error"]["kind"] == "degree-cap"
+
+
+def test_poly_iterate_size_cap_refuses_at_once():
+    # degree 4096 is within the default cap, but f^12 of z^2 + c would
+    # run for about a day (f^8, f^9, f^10 take 0.5, 10 and 240 s)
+    t0 = time.perf_counter()
+    code, doc = run_json(["poly", "iterate", "--n", "2", "--h", "12"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert doc["error"]["kind"] == "degree-cap"
+    assert "coefficient bits" in doc["error"]["detail"]
+    code, doc = run_json(["poly", "iterate", "--n", "2", "--h", "8"])
+    assert code == 0
+    assert doc["k"] == 8
 
 
 def test_poly_dynatomic():
@@ -208,6 +223,28 @@ def test_verify_sweep_thm14():
     assert doc["verdict"] == "pass"
     assert len(doc["reports"]) == 8
     assert all(r["verdict"] == "pass" for r in doc["reports"])
+
+
+def test_thm14_sweep_never_takes_the_generic_bound(monkeypatch):
+    # each elimination takes the exact PRS route or the modular loop on the
+    # dynamics' degree and height: the generic Sylvester bound is computed
+    # only for the PRS switch (dk <= 64) and never reached past it
+    height = polycore._det_height_bits
+
+    def refuse(a_cols, b_cols, dk):
+        if dk > 64:
+            raise AssertionError("an elimination fell back to the generic height bound")
+        return height(a_cols, b_cols, dk)
+
+    monkeypatch.setattr(polycore, "_det_height_bits", refuse)
+    modular, calls = polycore._resultant_points_modular, []
+    monkeypatch.setattr(polycore, "_resultant_points_modular",
+                        lambda *args: calls.append(args[3:]) or modular(*args))
+    dynmaps._parabolic.cache_clear()  # a memoized cell would take no route
+    code, doc = run_json(["verify", "sweep", "thm14", "--ns", "2", "--r-max", "5"])
+    assert code == 0
+    assert doc["verdict"] == "pass"
+    assert (24, 82) in calls and (75, 255) in calls  # (2,4,1) and (2,5,1)
 
 
 def test_verify_sweep_thm31():

@@ -137,6 +137,30 @@ def test_degree_cap_enforced():
     assert iterate_map(2, 6, degree_cap=64).degree("z") == 64
 
 
+def test_iterate_size_cap_refuses_before_any_work(monkeypatch):
+    # degree 4096 is within the default cap, but f^12 of z^2 + c would hold
+    # ~2^33 coefficient bits; every builder on that iterate refuses it
+    # without touching the memo tables
+    def refuse(*args):
+        raise AssertionError("iterate built")
+
+    monkeypatch.setattr(dynmaps, "_iterate_fc", refuse)
+    monkeypatch.setattr(dynmaps, "_iterate_gb", refuse)
+    for build in (iterate_map, iterate_poly_gb, dynatomic, multiplier_poly,
+                  multiplier_resultant, periodicity_poly):
+        with pytest.raises(DegreeCapError, match="coefficient bits"):
+            build(2, 12)
+    with pytest.raises(DegreeCapError, match="coefficient bits"):
+        parabolic_param_poly(2, 12, 1)
+    for n, k in ((2, 11), (3, 7), (4, 6), (5, 5)):
+        with pytest.raises(DegreeCapError):
+            dynmaps._check_iterate_cap(n, k, dynmaps.DEFAULT_DEGREE_CAP)
+    # the cap scales the size allowance: a larger cap admits f^11
+    dynmaps._check_iterate_cap(2, 11, 8 * dynmaps.DEFAULT_DEGREE_CAP)
+    for n, k in ((2, 10), (3, 6), (4, 5), (6, 4), (64, 2), (4096, 1)):
+        dynmaps._check_iterate_cap(n, k, dynmaps.DEFAULT_DEGREE_CAP)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         iterate_poly_gb(1, 3)
@@ -323,6 +347,52 @@ def test_parabolic_matches_multiplier_resultant_route():
         psi = BiPoly.from_inner_poly(cyclotomic(m, "mu"), outer="c")
         via_q = squarefree_part(resultant(q, psi, eliminate="mu"))
         assert via_q == parabolic_param_poly(n, h, m, "c").poly
+
+
+def _parabolic_inputs(n, h, m):
+    phi = dynmaps._dynatomic(n, h, "f_c")
+    psi = cyclotomic(m)
+    B = BiPoly.const(psi.coeff(psi.degree), "c", "z")
+    for i in range(psi.degree - 1, -1, -1):
+        B = B * dynmaps._multiplier(n, h) + psi.coeff(i)
+    return phi.as_univariate_in("z"), B.as_univariate_in("z")
+
+
+# cells whose exact resultant takes under 0.2 s by subresultant PRS
+SMALL_PARABOLIC = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 3), (2, 2, 2), (3, 1, 2),
+                   (3, 2, 1), (2, 4, 1), (3, 2, 2), (4, 2, 1), (2, 3, 2), (3, 3, 1),
+                   (5, 2, 1), (2, 2, 3), (3, 1, 4)]
+
+
+@pytest.mark.parametrize("n,h,m", SMALL_PARABOLIC)
+def test_parabolic_bounds_cover_the_exact_resultant(n, h, m):
+    # the dynamics' degree is the true degree (the growth rate of
+    # |R(c)| is exactly D); the bit bound sits above the true height
+    a_cols, b_cols = _parabolic_inputs(n, h, m)
+    exact = polycore._resultant_points_bigint(a_cols, b_cols, "c")
+    degree, bits = dynmaps._parabolic_bounds(n, h, m, len(a_cols) - 1)
+    assert degree >= exact.degree
+    assert degree == exact.degree
+    assert bits >= exact.max_coeff_bits()
+
+
+def test_parabolic_modular_route_takes_the_dynamics_bounds(monkeypatch):
+    # past the PRS switch the elimination runs on the dynamics' (D, H), and
+    # its polynomial is the exact route's
+    calls = []
+    modular = polycore._resultant_points_modular
+    monkeypatch.setattr(polycore, "_resultant_points_modular",
+                        lambda *args: calls.append(args[3:]) or modular(*args))
+    for n, h, m in ((2, 4, 1), (3, 3, 1), (2, 2, 3)):
+        a_cols, b_cols = _parabolic_inputs(n, h, m)
+        got = dynmaps._parabolic.__wrapped__(n, h, m)
+        exact = polycore._resultant_points_bigint(a_cols, b_cols, "c")
+        assert got == squarefree_part(exact)
+        dk = polycore._degree_bound_kept(a_cols, b_cols)
+        small = dk <= 64 and polycore._det_height_bits(a_cols, b_cols, dk) <= 2048
+        assert calls == ([] if small else
+                         [dynmaps._parabolic_bounds(n, h, m, len(a_cols) - 1)])
+        calls.clear()
 
 
 def test_parabolic_b_coordinate_for_cubic_map():

@@ -158,7 +158,8 @@ def test_char_poly_matches_faddeev_leverrier():
 
 def test_char_poly_stays_exact_past_degree_64(monkeypatch):
     # the degree bound is 67 > 64, where resultant() would take the
-    # early-stop modular route; the characteristic polynomial must not
+    # modular route at the generic bounds; the characteristic polynomial
+    # stays on the exact subresultant route
     def refuse(*args, **kwargs):
         raise AssertionError("characteristic polynomial took the modular route")
 

@@ -44,7 +44,7 @@ from unicrit.polycore import (
     _point_run,
     _power,
     _prime_at,
-    _resultant_image_mod_p,
+    _resultant_images_mod_p,
     _zmul,
     _resultant_points_bigint,
     _resultant_points_modular,
@@ -456,7 +456,8 @@ def _vector_resultant_rows(rows_a, rows_b, p):
     """The kernel on ascending coefficient lists of equal lengths per side."""
     A = np.array([a[::-1] for a in rows_a], dtype=np.int64)
     B = np.array([b[::-1] for b in rows_b], dtype=np.int64)
-    return [int(v) for v in _vector_resultants_mod_p(A, B, p)]
+    primes = np.full(len(rows_a), p, dtype=np.int64) if isinstance(p, int) else np.array(p)
+    return [int(v) for v in _vector_resultants_mod_p(A, B, primes)]
 
 
 def test_vector_resultant_mod_p_one_row_matches_exact_resultant():
@@ -513,16 +514,53 @@ def test_vector_resultant_mod_p_many_rows_with_degree_drops():
             assert got == want, (p, da, db)
 
 
-def test_resultant_modular_route_sparse_in_z():
+def test_vector_resultant_mod_p_mixed_primes_per_row():
+    # one call, one prime per row: the same rows under several primes,
+    # interleaved, give each prime's own resultants
+    rng = random.Random(339)
+    primes = [5, 97, _prime_at(0), _prime_at(7)]
+    pairs = [([rng.randint(-9, 9) for _ in range(6)] + [1],
+              [rng.randint(-9, 9) for _ in range(4)] + [3]) for _ in range(6)]
+    rows_a, rows_b, row_p = [], [], []
+    for a, b in pairs:
+        for p in primes:
+            rows_a.append([v % p for v in a])
+            rows_b.append([v % p for v in b])
+            row_p.append(p)
+    got = _vector_resultant_rows(rows_a, rows_b, row_p)
+    want = [resultant_univariate(IntPoly(a), IntPoly(b)) % p
+            for a, b in pairs for p in primes]
+    assert got == want
+
+
+def modular(a_cols, b_cols, monkeypatch, bounds=None):
+    """_resultant_points_modular with `bounds`, by default the generic pair
+    (dk and the Sylvester height bound), after checking that the primes
+    whose images it combined multiply past 2^(bits + 1)."""
+    if bounds is None:
+        dk = polycore._degree_bound_kept(a_cols, b_cols)
+        bounds = (dk, polycore._det_height_bits(a_cols, b_cols, dk))
+    used = []
+    crt = polycore._crt
+    monkeypatch.setattr(polycore, "_crt", lambda acc, m, img, p: used.append(p) or crt(acc, m, img, p))
+    out = _resultant_points_modular(a_cols, b_cols, "c", *bounds)
+    monkeypatch.setattr(polycore, "_crt", crt)
+    assert math.prod(used).bit_length() > bounds[1] + 1
+    return out, used
+
+
+def test_resultant_modular_route_sparse_in_z(monkeypatch):
     # Phi_2 against Psi_1(W) for n = 2: W - 1 = 4z^3 + 4cz - 1 has no z^2 term
     phi = dynatomic(2, 2)
     B = multiplier_poly(2, 2) - 1
     a_cols, b_cols = phi.as_univariate_in("z"), B.as_univariate_in("z")
     want = _resultant_points_bigint(a_cols, b_cols, "c")
-    assert _resultant_points_modular(a_cols, b_cols, "c") == want
+    assert modular(a_cols, b_cols, monkeypatch)[0] == want
+    exact = (want.degree, want.max_coeff_bits())
+    assert modular(a_cols, b_cols, monkeypatch, exact)[0] == want
 
 
-def test_resultant_image_skips_prime_dividing_leading_coefficient():
+def test_resultant_image_skips_prime_dividing_leading_coefficient(monkeypatch):
     # the z-leading coefficient c + p0 vanishes mod p0 at the point c = 0
     p0, p1 = _prime_at(0), _prime_at(1)
     c, z = BiPoly.gen("c", "c", "z"), BiPoly.gen("z", "c", "z")
@@ -531,14 +569,16 @@ def test_resultant_image_skips_prime_dividing_leading_coefficient():
     a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
     width = polycore._degree_bound_kept(a_cols, b_cols) + 1
     assert _point_run(a_cols[-1], b_cols[-1], width) == 0
-    assert _resultant_image_mod_p(a_cols, b_cols, 0, p0, width) is None
     want = _resultant_points_bigint(a_cols, b_cols, "c")
-    img = _resultant_image_mod_p(a_cols, b_cols, 0, p1, width)
+    none, img = _resultant_images_mod_p(a_cols, b_cols, 0, [p0, p1], width)
+    assert none is None
     assert img == [want.coeff(i) % p1 for i in range(width)]
-    assert _resultant_points_modular(a_cols, b_cols, "c") == want
+    got, used = modular(a_cols, b_cols, monkeypatch)
+    assert got == want
+    assert p0 not in used and p1 in used
 
 
-def test_point_run_starts_after_integer_roots_of_leading_coefficients():
+def test_point_run_starts_after_integer_roots_of_leading_coefficients(monkeypatch):
     lc_a = IntPoly((3, -4, 1), "c")  # (c - 1)(c - 3)
     one = IntPoly((1,), "c")
     assert _point_run(lc_a, one, 1) == 0
@@ -550,7 +590,7 @@ def test_point_run_starts_after_integer_roots_of_leading_coefficients():
     B = (c - 5) * z ** 3 - c * z + 2 * c + 5
     a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
     want = _resultant_points_bigint(a_cols, b_cols, "c")
-    assert _resultant_points_modular(a_cols, b_cols, "c") == want
+    assert modular(a_cols, b_cols, monkeypatch)[0] == want
     for v in (-2, 4, 7):
         assert want(v) == sylvester_det(A.eval_at("c", v).coeffs, B.eval_at("c", v).coeffs)
 
@@ -566,13 +606,16 @@ def test_interpolate_consecutive_points():
 
 
 def test_newton_interpolate_mod_p_round_trip():
+    # one row per prime, all primes in one call
     rng = random.Random(338)
-    for p in (10007, (1 << 25) - 39):
-        for start in (0, 7):
-            f = IntPoly([rng.randrange(p) for _ in range(40)], "x")
-            ys = np.array([f(start + i) % p for i in range(40)], dtype=np.int64)
-            got = _newton_interpolate_mod_p(start, ys, p).tolist()
-            assert got == [f.coeff(i) for i in range(40)], (p, start)
+    primes = [10007, (1 << 25) - 39, _prime_at(3)]
+    for start in (0, 7):
+        for m in (1, 2, 40):
+            fs = [IntPoly([rng.randrange(p) for _ in range(m)], "x") for p in primes]
+            ys = np.array([[f(start + i) % p for i in range(m)] for f, p in zip(fs, primes)],
+                          dtype=np.int64)
+            got = _newton_interpolate_mod_p(start, ys, np.array(primes)).tolist()
+            assert got == [[f.coeff(i) for i in range(m)] for f in fs], (start, m)
 
 
 def test_squarefree_part_table():
@@ -831,35 +874,66 @@ def test_resultant_bivariate_vs_pointwise_oracle():
                 assert out(v) == sylvester_det(av.coeffs, bv.coeffs)
 
 
-def test_resultant_methods_agree():
+def test_resultant_methods_agree(monkeypatch):
     rng = random.Random(1212)
     for _ in range(4):
         A = rand_bipoly(rng, 3, 3, bound=99)
         B = rand_bipoly(rng, 3, 3, bound=99)
         a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
         r1 = _resultant_points_bigint(a_cols, b_cols, "c")
-        r2 = _resultant_points_modular(a_cols, b_cols, "c")
+        r2 = modular(a_cols, b_cols, monkeypatch)[0]
         assert r1 == r2
 
 
-def test_resultant_certified_route_matches_early_stop(monkeypatch):
-    # the certified run goes through the early-stop route's own prime loop,
-    # and its primes multiply past the height bound
+def test_resultant_modular_route_runs_past_the_height_bound(monkeypatch):
+    # under the generic bounds and under the exact degree and height alike,
+    # the one loop matches the exact route once its primes pass the bound
     rng = random.Random(1213)
-    used = []
-    monkeypatch.setattr(polycore, "_prime_at", lambda i: used.append(i) or _prime_at(i))
-    # small coefficients at high degree: the bound is far above the truth
+    # small coefficients at high degree: the generic bound is far above the truth
     for do, di, bound in ((3, 3, 99), (2, 10, 2), (1, 12, 1)):
         A = rand_bipoly(rng, do, di, bound=bound)
         B = rand_bipoly(rng, di, do, bound=bound)
         a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
         want = _resultant_points_bigint(a_cols, b_cols, "c")
-        used.clear()
-        assert _resultant_points_modular(a_cols, b_cols, "c", certified=True) == want
-        dk = polycore._degree_bound_kept(a_cols, b_cols)
-        bound = polycore._det_height_bits(a_cols, b_cols, dk)
-        assert math.prod(_prime_at(i) for i in used).bit_length() > bound + 1
-        assert _resultant_points_modular(a_cols, b_cols, "c") == want
+        assert modular(a_cols, b_cols, monkeypatch)[0] == want
+        exact = (want.degree, want.max_coeff_bits())
+        assert modular(a_cols, b_cols, monkeypatch, exact)[0] == want
+
+
+def test_resultant_modular_route_is_only_as_good_as_its_bounds(monkeypatch):
+    # one degree or half the bits short, the lift is wrong: the bounds, not
+    # a stable lift, decide when the loop stops
+    rng = random.Random(1214)
+    A = rand_bipoly(rng, 3, 6, bound=10 ** 12)
+    B = rand_bipoly(rng, 4, 5, bound=10 ** 12)
+    a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
+    want = _resultant_points_bigint(a_cols, b_cols, "c")
+    assert want.max_coeff_bits() > 200
+    degree, bits = want.degree, want.max_coeff_bits()
+    assert modular(a_cols, b_cols, monkeypatch, (degree, bits))[0] == want
+    assert modular(a_cols, b_cols, monkeypatch, (degree - 1, bits))[0] != want
+    assert modular(a_cols, b_cols, monkeypatch, (degree, bits // 2))[0] != want
+
+
+def test_resultant_modular_batches_hold_whole_primes(monkeypatch):
+    # a batch budget below one prime's rows still runs one prime per batch
+    rng = random.Random(1215)
+    A = rand_bipoly(rng, 2, 5, bound=99)
+    B = rand_bipoly(rng, 3, 4, bound=99)
+    a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
+    want = _resultant_points_bigint(a_cols, b_cols, "c")
+    batches = []
+    images = polycore._resultant_images_mod_p
+    monkeypatch.setattr(polycore, "_resultant_images_mod_p",
+                        lambda *args: batches.append(len(args[3])) or images(*args))
+    for entries in (1, 200, 1 << 20):
+        monkeypatch.setattr(polycore, "_BATCH_ENTRIES", entries)
+        batches.clear()
+        assert modular(a_cols, b_cols, monkeypatch)[0] == want
+        if entries == 1:
+            assert set(batches) == {1} and len(batches) > 1
+        if entries == 1 << 20:
+            assert len(batches) == 1
 
 
 def test_resultant_bivariate_multiplicative():
@@ -901,6 +975,21 @@ def test_root_power_transform_known_roots():
     assert root_power_transform(p, 1) == p
     cubes = root_power_transform(p, 3)
     assert cubes == (x - 8) * (x - 27)
+
+
+def test_root_power_transform_is_the_resultant_definition():
+    # Res_y(p(y), x - y^k), primitive, for every k up to 5, including p
+    # whose parts p_r are zero (p = y * q(y^k)) and p with a root at 0
+    rng = random.Random(2027)
+    x = IntPoly.gen()
+    polys = [rand_poly(rng, d) for d in (1, 2, 3, 5, 8, 13)]
+    polys += [x * IntPoly((3, 0, 0, 1)), x ** 3 * (x + 2), IntPoly((5, 0, 0, 0, 0, 0, 7))]
+    for p in polys:
+        A = BiPoly.from_inner_poly(p.rename("y"), outer="x")
+        for k in range(1, 6):
+            B = BiPoly([(0,) * k + (-1,), (1,)], "x", "y")  # x - y^k
+            want = resultant(A, B, eliminate="y").primitive_part()
+            assert root_power_transform(p, k) == want, (p, k)
 
 
 def test_root_power_transform_negative_roots_merge():

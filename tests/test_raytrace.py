@@ -529,6 +529,32 @@ def test_landing_report_json(half_ray_match):
     assert float(doc["match_distance"]) < 1e-9
     assert set(doc["landing"]) == {"re", "im", "bits"}
     assert abs(float(doc["landing"]["re"]) + 2) < 1e-9
+    assert doc["landing"]["im"] == "0.0"  # a real ray
+
+
+def test_landing_json_prints_near_zero_parts_on_the_landing_grid():
+    # a part far below max(1, |landing|) keeps only the digits down to that
+    # scale's last digit, so rounding noise below it cannot change the bytes
+    with mp.workprec(256):
+        real = mp.mpc(-2, mp.mpf("1.11e-88"))
+        small = mp.mpc(mp.mpf("-8.098e-12"), 1)
+        nudged = small + mp.mpf("1e-85")
+        big = mp.mpc(mp.mpf("1.5e3"), mp.mpf("2.5e-77"))
+        unit = mp.mpc(mp.mpf("0.5"), mp.mpf("2.5e-77"))
+    doc = raytrace._landing_json(real, 256)
+    assert doc == {"re": raytrace._complex_json(real, 256)["re"], "im": "0.0", "bits": 256}
+    a, b = raytrace._landing_json(small, 256), raytrace._landing_json(nudged, 256)
+    assert a == b
+    assert raytrace._complex_json(small, 256)["re"] != raytrace._complex_json(nudged, 256)["re"]
+    assert a["im"] == raytrace._complex_json(small, 256)["im"]
+    assert float(a["re"]) == pytest.approx(-8.098e-12, rel=1e-12)
+    assert len(a["re"]) < len(raytrace._complex_json(small, 256)["re"])
+    # past |landing| = 1 the grid follows |landing|: 3 digits coarser at 1.5e3
+    doc = raytrace._landing_json(big, 256)
+    assert doc["re"] == raytrace._complex_json(big, 256)["re"]
+    assert doc["im"] == "0.0"
+    assert raytrace._landing_json(unit, 256)["im"] == "2.5e-77"
+    assert raytrace._landing_json(mp.mpc(0, 0), 256) == raytrace._complex_json(mp.mpc(0, 0), 256)
 
 
 def test_depth_lands_in_escape_annulus_below_double_range():
