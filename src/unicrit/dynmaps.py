@@ -337,8 +337,8 @@ def multiplier_resultant(
 
     Each exact-period-h orbit with multiplier mu0 contributes (mu - mu0)^h,
     so q is monic of degree nu(h) in mu.  Computed by evaluating c at
-    integer points, taking bivariate resultants in (mu, z), and
-    interpolating back; both steps are exact.
+    integer points, taking bivariate resultants in (mu, z) by the exact
+    subresultant PRS, and interpolating back; both steps are exact.
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
@@ -608,9 +608,9 @@ def parabolic_param_poly(
 
     Radical of the elimination of z from Phi_h and Psi_m((f^h)'), which
     equals the radical of Res_mu(q(c, mu), Psi_m(mu)) for the multiplier
-    resultant q.  The elimination is exact: small cells take the
-    subresultant PRS, and larger ones the modular route on the degree and
-    height bounds that _parabolic_bounds proves from the dynamics.
+    resultant q.  The elimination is exact: every cell takes the modular
+    route on the degree and height bounds that _parabolic_bounds proves
+    from the dynamics.
     Squarefree and primitive, but not irreducible in general: the
     (mu - mu0)^h orbit structure and orbit merges at bifurcation parameters
     can contribute extra factors (for m = 1, the cells (h', m') with
@@ -644,10 +644,12 @@ def fixed_point_parabolic(n: int, m: int) -> ParamPolynomial:
     w^(n-1) = mu and b = (n - mu) w, hence bhat = mu (n - mu)^(n-1).
     Eliminating mu against Psi_m gives the polynomial for multiplier a
     primitive m-th root of unity; must agree with
-    parabolic_param_poly(n, 1, m, "bhat").
+    parabolic_param_poly(n, 1, m, "bhat").  Its degree phi(m) is held to
+    DEFAULT_DEGREE_CAP before any work.
     """
     _validate_n(n)
     _require(m >= 1, "root-of-unity order m must be >= 1")
+    _check_cap(euler_phi(m), DEFAULT_DEGREE_CAP)
     base = IntPoly((n, -1), "mu") ** (n - 1) * IntPoly.gen("mu")
     A = BiPoly.gen("bhat", "bhat", "mu") - BiPoly.from_inner_poly(base, outer="bhat")
     B = BiPoly.from_inner_poly(cyclotomic(m, "mu"), outer="bhat")

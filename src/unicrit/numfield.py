@@ -10,9 +10,10 @@ of z^n + c at rational parameters.
 No integral bases, no ideal arithmetic: integrality is always certified
 through the minimal polynomial, which keeps everything elementary and
 exact.  Characteristic polynomials, and so minimal polynomials, norms and
-traces, come from polycore's exact subresultant resultant at every degree:
-one univariate resultant per point, with no height bound to prove.  All
-values are immutable and all functions pure.
+traces, are polycore resultants with no bound passed, so they take the
+exact subresultant PRS at every degree: one univariate resultant per
+point, with no height bound to prove.  All values are immutable and all
+functions pure.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import Sequence
 
 from .dynmaps import dynatomic
 from .factorz import factor
-from .polycore import _MEMO_SIZE, IntPoly, _power, _strip, squarefree_part
-from .polycore import _resultant_points_bigint
+from .polycore import _MEMO_SIZE, BiPoly, IntPoly, _power, _strip, resultant, squarefree_part
 
 __all__ = [
     "FieldElement",
@@ -274,9 +274,8 @@ def _char_poly(e: FieldElement) -> RatPoly:
 
     With D the lcm of e's coordinate denominators, E = D*e and M the
     cleared modulus, Res_x(M, D*y - E) = lc(M)^deg E * D^d * prod (y - e(alpha))
-    (Cohen, GTM 138, 4.3).  It comes from polycore's exact subresultant
-    route at every degree, never the modular one, whose generic height
-    bound is far above the truth for a field of large degree; integrality
+    (Cohen, GTM 138, 4.3).  No bound is passed, so polycore.resultant
+    takes the exact subresultant PRS at every degree; integrality
     certificates rest on this exact polynomial.
     """
     d = e.field.degree
@@ -286,9 +285,9 @@ def _char_poly(e: FieldElement) -> RatPoly:
     else:
         den = math.lcm(*(c.denominator for c in e.coords))
         E = _strip([int(c * den) for c in e.coords])
-        a_cols = [IntPoly.const(a, "y") for a in e.field.modulus.cleared().coeffs]
-        b_cols = [IntPoly((-E[0], den), "y")] + [IntPoly.const(-a, "y") for a in E[1:]]
-        char = _resultant_points_bigint(a_cols, b_cols, "y")
+        M = BiPoly(tuple((a,) for a in e.field.modulus.cleared().coeffs), "x", "y")
+        N = BiPoly(((-E[0], den),) + tuple((-a,) for a in E[1:]), "x", "y")
+        char = resultant(M, N, eliminate="x")
     return RatPoly(tuple(Fraction(c, char.lc) for c in char.coeffs), "y")
 
 

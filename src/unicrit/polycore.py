@@ -3,9 +3,9 @@
 Univariate (IntPoly) and bivariate (BiPoly) dense polynomials over the
 integers, with the elimination toolkit the rest of the package is built on:
 
-* resultants, by subresultant PRS per evaluation point and by
-  evaluation-interpolation over integer points (the two routes cross-check
-  each other in the test suite);
+* resultants by evaluation-interpolation over integer points: the
+  subresultant PRS per point, or mod-p images at the caller's proven
+  bounds (the two routes cross-check each other in the test suite);
 * primitive gcd via the subresultant PRS, whose one loop also serves the
   resultant, and a certified modular gcd, which squarefree_part uses;
 * cyclotomic polynomials, the Moebius function;
@@ -13,14 +13,14 @@ integers, with the elimination toolkit the rest of the package is built on:
   alpha -> s*alpha).
 
 Everything here is a pure function of immutable values.  Coefficients are
-arbitrary-precision; nothing ever rounds.  Large bivariate eliminations are
-computed through mod-p images recombined by CRT, at a degree bound and a
-coefficient height bound known in advance: the caller's, proved from the
-structure of its inputs (dynmaps._parabolic proves one from the dynamics),
-or else the generic Bezout degree and the Hadamard bound of the Sylvester
-matrix.  The images run until the modulus passes twice the height bound,
-so the lift is the resultant.  gcd_fast certifies what it returns, and
-product_equals compares an exact product.
+arbitrary-precision; nothing ever rounds.  A bivariate elimination whose
+caller proves a degree bound and a coefficient height bound from the
+structure of its inputs (dynmaps._parabolic proves one from the dynamics)
+is computed through mod-p images recombined by CRT; the images run until
+the modulus passes twice the height bound, so the lift is the resultant.
+Every other elimination takes the exact subresultant PRS, which needs no
+bound.  gcd_fast certifies what it returns, and product_equals compares an
+exact product.
 
 Every polynomial product, over Z or Z/m, univariate or bivariate, is one
 call of _zmul: schoolbook for short factors, one big-integer product by
@@ -960,16 +960,6 @@ def _degree_bound_kept(a_cols: list[IntPoly], b_cols: list[IntPoly]) -> int:
     return da * kb + db * ka
 
 
-def _det_height_bits(a_cols: list[IntPoly], b_cols: list[IntPoly], dk: int) -> int:
-    n = (len(a_cols) - 1) + (len(b_cols) - 1)
-    h = max(
-        max((p.max_coeff_bits() for p in a_cols), default=1),
-        max((p.max_coeff_bits() for p in b_cols), default=1),
-    )
-    log_fact = sum(math.log2(i) for i in range(2, n + 1))
-    return int(log_fact + n * h + max(n - 1, 0) * math.log2(dk + 2)) + 4
-
-
 def _point_run(lc_a: IntPoly, lc_b: IntPoly, count: int) -> int:
     """First s >= 0 with neither leading coefficient zero on s, ..., s+count-1."""
     s = x = 0
@@ -1195,13 +1185,12 @@ def resultant(
     """Sylvester resultant of A and B with respect to `eliminate`.
 
     Returns the signed resultant as a polynomial in the other variable.
-    Satisfies Res(A*B, C) = Res(A, C) * Res(B, C).  Small inputs (degree
-    bound dk <= 64, Sylvester height bound <= 2,048 bits) take the exact
-    subresultant PRS per point.  Larger ones take the modular route, with
-    `bounds` = (degree, coefficient bits) when the caller proves a sharper
-    pair than the generic one (dynmaps._parabolic does, from the
-    dynamics), and otherwise with dk and the Hadamard bound of the
-    Sylvester matrix.  Either route's result is proven.
+    Satisfies Res(A*B, C) = Res(A, C) * Res(B, C).  With `bounds` =
+    (degree, coefficient bits), a pair the caller proves from the
+    structure of its inputs (dynmaps._parabolic does, from the dynamics),
+    it takes the modular route at that pair; without, the exact
+    subresultant PRS per point, which needs no bound.  Either route's
+    result is proven.
     """
     if A.vars != B.vars:
         raise ValueError(f"variable mismatch {A.vars} vs {B.vars}")
@@ -1217,11 +1206,9 @@ def resultant(
         )
     a_cols = A.as_univariate_in(eliminate)
     b_cols = B.as_univariate_in(eliminate)
-    dk = _degree_bound_kept(a_cols, b_cols)
-    if dk <= 64 and _det_height_bits(a_cols, b_cols, dk) <= 2048:
+    if bounds is None:
         return _resultant_points_bigint(a_cols, b_cols, kept)
-    degree, height_bits = bounds or (dk, _det_height_bits(a_cols, b_cols, dk))
-    return _resultant_points_modular(a_cols, b_cols, kept, degree, height_bits)
+    return _resultant_points_modular(a_cols, b_cols, kept, *bounds)
 
 
 # ---------------------------------------------------------------------------

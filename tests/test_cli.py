@@ -226,17 +226,12 @@ def test_verify_sweep_thm14():
 
 
 def test_thm14_sweep_never_takes_the_generic_bound(monkeypatch):
-    # each elimination takes the exact PRS route or the modular loop on the
-    # dynamics' degree and height: the generic Sylvester bound is computed
-    # only for the PRS switch (dk <= 64) and never reached past it
-    height = polycore._det_height_bits
+    # every elimination of the sweep takes the modular loop on the
+    # dynamics' degree and height; none takes the unbounded exact route
+    def refuse(*args):
+        raise AssertionError("a parabolic elimination took the unbounded route")
 
-    def refuse(a_cols, b_cols, dk):
-        if dk > 64:
-            raise AssertionError("an elimination fell back to the generic height bound")
-        return height(a_cols, b_cols, dk)
-
-    monkeypatch.setattr(polycore, "_det_height_bits", refuse)
+    monkeypatch.setattr(polycore, "_resultant_points_bigint", refuse)
     modular, calls = polycore._resultant_points_modular, []
     monkeypatch.setattr(polycore, "_resultant_points_modular",
                         lambda *args: calls.append(args[3:]) or modular(*args))

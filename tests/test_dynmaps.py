@@ -1,6 +1,7 @@
 """Tests for the polynomial families in unicrit.dynmaps."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -358,10 +359,13 @@ def _parabolic_inputs(n, h, m):
     return phi.as_univariate_in("z"), B.as_univariate_in("z")
 
 
-# cells whose exact resultant takes under 0.2 s by subresultant PRS
+# cells whose exact resultant takes under 0.2 s by subresultant PRS, and
+# (2, 5, 1) at 1.7 s: among them every cell the perfbench workloads reach,
+# since each parabolic polynomial rests on the bounds
 SMALL_PARABOLIC = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 3), (2, 2, 2), (3, 1, 2),
                    (3, 2, 1), (2, 4, 1), (3, 2, 2), (4, 2, 1), (2, 3, 2), (3, 3, 1),
-                   (5, 2, 1), (2, 2, 3), (3, 1, 4)]
+                   (5, 2, 1), (2, 2, 3), (3, 1, 4), (2, 1, 2), (2, 1, 4), (2, 1, 5),
+                   (3, 1, 1), (3, 1, 3), (3, 1, 5), (4, 1, 1), (4, 1, 2), (2, 5, 1)]
 
 
 @pytest.mark.parametrize("n,h,m", SMALL_PARABOLIC)
@@ -377,21 +381,18 @@ def test_parabolic_bounds_cover_the_exact_resultant(n, h, m):
 
 
 def test_parabolic_modular_route_takes_the_dynamics_bounds(monkeypatch):
-    # past the PRS switch the elimination runs on the dynamics' (D, H), and
-    # its polynomial is the exact route's
+    # every cell, the tiniest included, runs the modular loop once on the
+    # dynamics' (D, H), and its polynomial is the exact route's
     calls = []
     modular = polycore._resultant_points_modular
     monkeypatch.setattr(polycore, "_resultant_points_modular",
                         lambda *args: calls.append(args[3:]) or modular(*args))
-    for n, h, m in ((2, 4, 1), (3, 3, 1), (2, 2, 3)):
+    for n, h, m in ((2, 1, 1), (2, 4, 1), (3, 3, 1), (2, 2, 3)):
         a_cols, b_cols = _parabolic_inputs(n, h, m)
         got = dynmaps._parabolic.__wrapped__(n, h, m)
         exact = polycore._resultant_points_bigint(a_cols, b_cols, "c")
         assert got == squarefree_part(exact)
-        dk = polycore._degree_bound_kept(a_cols, b_cols)
-        small = dk <= 64 and polycore._det_height_bits(a_cols, b_cols, dk) <= 2048
-        assert calls == ([] if small else
-                         [dynmaps._parabolic_bounds(n, h, m, len(a_cols) - 1)])
+        assert calls == [dynmaps._parabolic_bounds(n, h, m, len(a_cols) - 1)]
         calls.clear()
 
 
@@ -570,6 +571,20 @@ def test_fixed_point_parabolic_closed_forms():
             ((n + 1) ** (n - 1), 1), "bhat"
         )
     assert fixed_point_parabolic(2, 3).poly == IntPoly((7, 1, 1), "bhat")
+
+
+def test_fixed_point_parabolic_refuses_past_the_cap(monkeypatch):
+    # phi(4099) = 4098 is the output degree, past the default cap of 4096: the
+    # call refuses before building Psi_m or eliminating anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done past the cap")
+
+    monkeypatch.setattr(dynmaps, "cyclotomic", refuse)
+    monkeypatch.setattr(dynmaps, "resultant", refuse)
+    start = time.perf_counter()
+    with pytest.raises(DegreeCapError):
+        fixed_point_parabolic(2, 4099)
+    assert time.perf_counter() - start < 1
 
 
 def test_fixed_point_agrees_with_parabolic_elimination():

@@ -157,9 +157,8 @@ def test_char_poly_matches_faddeev_leverrier():
 
 
 def test_char_poly_stays_exact_past_degree_64(monkeypatch):
-    # the degree bound is 67 > 64, where resultant() would take the
-    # modular route at the generic bounds; the characteristic polynomial
-    # stays on the exact subresultant route
+    # degree 67: the characteristic polynomial passes no bounds to
+    # resultant(), so it takes the exact subresultant route at every degree
     def refuse(*args, **kwargs):
         raise AssertionError("characteristic polynomial took the modular route")
 

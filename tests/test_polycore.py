@@ -533,13 +533,24 @@ def test_vector_resultant_mod_p_mixed_primes_per_row():
     assert got == want
 
 
+def hadamard_bits(a_cols, b_cols, dk):
+    """Bits bounding every coefficient of a resultant of degree <= dk in the
+    kept variable: log2 of n! * (2^h)^n * (dk + 2)^(n - 1) for the n x n
+    Sylvester matrix with h-bit entries, plus slack.  A generic over-bound,
+    far above the truth at high degree, that no library caller proves."""
+    n = (len(a_cols) - 1) + (len(b_cols) - 1)
+    h = max(p.max_coeff_bits() for p in a_cols + b_cols)
+    log_fact = sum(math.log2(i) for i in range(2, n + 1))
+    return int(log_fact + n * h + max(n - 1, 0) * math.log2(dk + 2)) + 4
+
+
 def modular(a_cols, b_cols, monkeypatch, bounds=None):
     """_resultant_points_modular with `bounds`, by default the generic pair
-    (dk and the Sylvester height bound), after checking that the primes
-    whose images it combined multiply past 2^(bits + 1)."""
+    (dk and hadamard_bits), after checking that the primes whose images it
+    combined multiply past 2^(bits + 1)."""
     if bounds is None:
         dk = polycore._degree_bound_kept(a_cols, b_cols)
-        bounds = (dk, polycore._det_height_bits(a_cols, b_cols, dk))
+        bounds = (dk, hadamard_bits(a_cols, b_cols, dk))
     used = []
     crt = polycore._crt
     monkeypatch.setattr(polycore, "_crt", lambda acc, m, img, p: used.append(p) or crt(acc, m, img, p))
@@ -872,6 +883,28 @@ def test_resultant_bivariate_vs_pointwise_oracle():
                 av = A.eval_at(kept, v)
                 bv = B.eval_at(kept, v)
                 assert out(v) == sylvester_det(av.coeffs, bv.coeffs)
+
+
+def test_unbounded_resultant_takes_the_exact_route_past_the_old_switch(monkeypatch):
+    # one inner elimination of multiplier_resultant(2, 6):
+    # Res_z(Phi_6(7, z), mu - W(7, z)) has degree 54 in mu and a generic
+    # bound of 13,017 bits, far above its true height; with no bounds
+    # passed it takes the exact PRS, which needs none
+    def refuse(*args):
+        raise AssertionError("an unbounded elimination took the modular route")
+
+    monkeypatch.setattr(polycore, "_resultant_points_modular", refuse)
+    phi_7 = dynatomic(2, 6).eval_at("c", 7)
+    w_7 = multiplier_poly(2, 6).eval_at("c", 7)
+    A = BiPoly.from_inner_poly(phi_7, outer="mu")
+    B = BiPoly.gen("mu", "mu", "z") - BiPoly.from_inner_poly(w_7, outer="mu")
+    a_cols, b_cols = A.as_univariate_in("z"), B.as_univariate_in("z")
+    dk = polycore._degree_bound_kept(a_cols, b_cols)
+    assert (dk, hadamard_bits(a_cols, b_cols, dk)) == (54, 13017)
+    out = resultant(A, B, eliminate="z")
+    assert out.degree == 54
+    for mu in (-3, 0, 5):
+        assert out(mu) == resultant_univariate(phi_7, mu - w_7)
 
 
 def test_resultant_methods_agree(monkeypatch):
