@@ -4,7 +4,10 @@ Everything here is exact integer arithmetic.  Four parameter coordinates
 run through the module: c for the form z^n + c, b for the conjugate form
 (w^n + b)/n, and the power coordinates chat = c^(n-1) and
 bhat = b^(n-1) = n^n * chat, which is where the parameter polynomials
-naturally live.
+naturally live.  Each iteration runs once: the (b, w) polynomials are
+the (c, z) ones rescaled under the conjugacy of the two forms (_to_gb),
+and the critical values and Gleason polynomials in c come from the chat
+ones at chat = c^(n-1).
 
 Construction functions are pure and deterministic.  Each private builder
 is memoized by functools.lru_cache, bounded at polycore._MEMO_SIZE entries
@@ -84,9 +87,28 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _check_cap(needed: int, cap: int) -> None:
+def _check_cap(cap: int, base: int, k: int = 1, geometric: bool = False,
+               scale: int = 1) -> None:
+    """Refuse a construction of degree scale * base^k, or of degree
+    scale * (base^k - 1)/(base - 1) when geometric, above the cap.  The
+    exponent decides first: a degree past 2^64 and the cap is refused
+    without forming base^k and printed as a power."""
+    if k > 1 and (k - geometric) * (base.bit_length() - 1) > max(64, cap.bit_length()):
+        power = f"{base}^{k}"
+        needed = f"({power} - 1)/{base - 1}" if geometric else power
+        raise DegreeCapError(f"{scale}*{needed}" if scale > 1 else needed, cap)
+    needed = scale * ((base ** k - 1) // (base - 1) if geometric else base ** k)
     if needed > cap:
         raise DegreeCapError(needed, cap)
+
+
+def _capped_phi(m: int, cap: int) -> int:
+    """phi(m), the degree of Psi_m, for a construction whose degree is at
+    least phi(m).  As phi(m) >= sqrt(m/2), an m above 2 cap^2 is refused
+    without factoring it."""
+    if m > 2 * cap * cap:
+        raise DegreeCapError(f"at least phi(m) >= sqrt(m/2) for m = {m}", cap)
+    return euler_phi(m)
 
 
 # size allowed an iterate per unit of degree cap, in coefficient bits: the
@@ -102,7 +124,7 @@ def _check_iterate_cap(n: int, k: int, cap: int) -> None:
     bits of f^k(1) at c = 1, which bounds every coefficient of f^k; the
     form (w^n + b)/n and the products over its iterates are of the same
     size up to a small factor."""
-    _check_cap(n ** k, cap)
+    _check_cap(cap, n, k)
     bits = 1.0  # log2 f^j(1) at c = 1: f^(j+1)(1) = f^j(1)^n + 1
     for _ in range(k - 1):
         bits = n * bits + math.log2(1 + 2.0 ** (-n * bits))
@@ -205,25 +227,28 @@ def iterate_map(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> BiPoly:
     return _iterate_fc(n, k)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _iterate_gb(n: int, k: int) -> tuple[BiPoly, int]:
-    if k == 1:
-        return BiPoly(((0,) * n + (1,), (1,)), "b", "w"), n  # w^n + b
-    prev, nk = _iterate_gb(n, k - 1)
-    return prev ** n + BiPoly.gen("b", "b", "w") * nk ** n, n * nk ** n
+def _to_gb(P: BiPoly, n: int, e: int, s: int) -> BiPoly:
+    """n^e t^-s P(t b / n, t w), t^(n-1) = 1/n: z = t w and c = t b / n carry
+    z^n + c to (w^n + b)/n, so c^i z^j becomes n^(e-i-(i+j-s)/(n-1)) b^i w^j.
+    f^k and f^k - z carry (e, s) = ((n^k - 1)/(n - 1), 1); products add them."""
+    return BiPoly(tuple(
+        tuple(a and a * n ** (e - i - (i + j - s) // (n - 1)) for j, a in enumerate(row))
+        for i, row in enumerate(P.rows)
+    ), "b", "w")
 
 
 def iterate_poly_gb(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> IteratePair:
     """Numerator P_k and denominator N_k of the k-th iterate of (w^n + b)/n.
 
-    P_1 = w^n + b, N_1 = n, and then P_{k+1} = P_k^n + N_k^n b with
-    N_{k+1} = n N_k^n, keeping every coefficient an exact integer.
+    N_k = n^e with e = (n^k - 1)/(n - 1), and P_k = N_k g_b^k(w) is the
+    iterate f^k of z^n + c carried to (b, w) by _to_gb, an exact integer
+    polynomial with P_1 = w^n + b and P_{k+1} = P_k^n + N_k^n b.
     """
     _validate_n(n)
     _require(k >= 1, "iterate index k must be >= 1")
     _check_iterate_cap(n, k, degree_cap)
-    poly, denom = _iterate_gb(n, k)
-    return IteratePair(poly, denom, k)
+    e = (n ** k - 1) // (n - 1)
+    return IteratePair(_to_gb(_iterate_fc(n, k), n, e, 1), n ** e, k)
 
 
 def periodicity_poly(n: int, h: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> BiPoly:
@@ -248,37 +273,31 @@ def critical_orbit_poly(
     """
     _validate_n(n)
     _require(k >= 1, "orbit index k must be >= 1")
-    _check_cap((n ** (k - 1) - 1) // (n - 1), degree_cap)
+    _check_cap(degree_cap, n, k - 1, geometric=True)
     return CriticalOrbitPoly(_orbit(n, k), k, n)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _critical_value(n: int, k: int) -> IntPoly:
-    # f^k(0) as a polynomial in c: a_1 = c, a_{j+1} = a_j^n + c
-    if k == 1:
-        return IntPoly.gen("c")
-    return _critical_value(n, k - 1) ** n + IntPoly.gen("c")
-
-
 def critical_value_poly(n: int, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> IntPoly:
-    """f_c^k(0) as an exact polynomial in c."""
+    """f_c^k(0) = c P_k(c^(n-1)) as an exact polynomial in c."""
     _validate_n(n)
     _require(k >= 1, "iterate index k must be >= 1")
-    _check_cap(n ** (k - 1), degree_cap)
-    return _critical_value(n, k)
+    _check_cap(degree_cap, n, k - 1)
+    return IntPoly((0,) + _stretch(_orbit(n, k), n - 1).coeffs, "c")
 
 
 # ---------------------------------------------------------------------------
 # dynatomic polynomials
 
 
+def _dynatomic_degree(n: int, h: int) -> int:
+    """nu(h), the degree in z of Phi_h: the sum of mu(h/d) n^d over d | h."""
+    return sum(moebius(h // d) * n ** d for d in _divisors(h))
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _dynatomic(n: int, h: int, form: str) -> BiPoly:
+def _dynatomic(n: int, h: int) -> BiPoly:
     def term(d: int) -> BiPoly:
-        if form == "f_c":
-            return _iterate_fc(n, d) - BiPoly.gen("z", "c", "z")
-        poly, denom = _iterate_gb(n, d)
-        return poly - BiPoly.gen("w", "b", "w") * denom
+        return _iterate_fc(n, d) - BiPoly.gen("z", "c", "z")
 
     plus = [d for d in _divisors(h) if moebius(h // d) == 1]
     minus = [d for d in _divisors(h) if moebius(h // d) == -1]
@@ -296,14 +315,18 @@ def dynatomic(
     """Exact-period-h polynomial via the Moebius product over divisors of h.
 
     For form "f_c" this is prod_{d|h} (f^d(z) - z)^{mu(h/d)} in (c, z); for
-    form "g_b" the cleared version prod (P_d - N_d w)^{mu(h/d)} in (b, w).
+    form "g_b" the cleared version prod (P_d - N_d w)^{mu(h/d)} in (b, w),
+    which is the f_c one carried over by _to_gb.
     The divisions are exact; prod_{d|h} Phi_d recovers iterate_h - var.
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
     _require(form in ("f_c", "g_b"), f"unknown dynatomic form {form!r}")
     _check_iterate_cap(n, h, degree_cap)
-    return _dynatomic(n, h, form)
+    # (e, s) is the sum over d | h of mu(h/d) ((n^d - 1)/(n - 1), 1)
+    s = int(h == 1)
+    e = (_dynatomic_degree(n, h) - s) // (n - 1)
+    return _dynatomic(n, h) if form == "f_c" else _to_gb(_dynatomic(n, h), n, e, s)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +371,7 @@ def multiplier_resultant(
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _multiplier_resultant(n: int, h: int) -> BiPoly:
-    phi = _dynatomic(n, h, "f_c")
+    phi = _dynatomic(n, h)
     W = _multiplier(n, h)
     dmu = phi.degree("z")
     dbound = dmu * W.degree("c") + W.degree("z") * phi.degree("c")
@@ -449,11 +472,10 @@ def _strip_factors(D: IntPoly, lower: IntPoly) -> IntPoly:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _gleason(n: int, h: int, chat_form: bool) -> IntPoly:
-    build = _orbit if chat_form else _critical_value
-    D = build(n, h)
+def _gleason(n: int, h: int) -> IntPoly:
+    D = _orbit(n, h)
     for h2 in _divisors(h)[:-1]:
-        D = _strip_factors(D, build(n, h2))
+        D = _strip_factors(D, _orbit(n, h2))
     return D.primitive_part()
 
 
@@ -462,26 +484,27 @@ def gleason_poly(
 ) -> ParamPolynomial:
     """Parameters where the critical point itself has exact period h.
 
-    In coordinate c: f^h(0) with every factor shared with a lower f^{h'}(0),
-    h' | h, removed by exact division.  In coordinate chat the same
-    procedure runs on the critical orbit polynomials; it needs h >= 2,
-    since for h = 1 the locus is the single point c = 0, which the power
-    coordinates cannot see.
+    In coordinate chat: the critical orbit polynomial P_h with every factor
+    shared with a lower P_{h'}, h' | h, removed by exact division; h >= 2,
+    as for h = 1 the locus is the point c = 0.  In coordinate c: c for h = 1,
+    else the chat polynomial at chat = c^(n-1), which is f^h(0) stripped
+    the same way, as x -> x^(n-1) commutes with gcds and exact divisions.
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
     prov = {"kind": "gleason", "h": h}
     if coordinate == "c":
-        _check_cap(n ** (h - 1), degree_cap)
-        return ParamPolynomial(_gleason(n, h, False), "c", n, prov)
+        _check_cap(degree_cap, n, h - 1)
+        poly = IntPoly.gen("c") if h == 1 else _stretch(_gleason(n, h), n - 1).rename("c")
+        return ParamPolynomial(poly, "c", n, prov)
     if h == 1:
         raise SpecialCaseError(
             "period 1 for the critical point means c = 0, a single point with "
             "no polynomial in the power coordinates; use coordinate 'c'"
         )
-    _check_cap((n ** (h - 1) - 1) // (n - 1), degree_cap)
-    base = ParamPolynomial(_gleason(n, h, True), "chat", n, prov)
+    _check_cap(degree_cap, n, h - 1, geometric=True)
+    base = ParamPolynomial(_gleason(n, h), "chat", n, prov)
     return base if coordinate == "chat" else coord_transform(base, coordinate)
 
 
@@ -532,8 +555,8 @@ def misiurewicz_poly(
     _require(h >= 1, "eventual period h must be >= 1")
     _require(tau > 1 and n % tau == 0, "tau must be a divisor of n with tau > 1")
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
-    psi_deg = cyclotomic(tau).degree
-    _check_cap(psi_deg * (n ** (t + h - 1) - 1) // (n - 1), degree_cap)
+    phi = _capped_phi(tau, degree_cap)
+    _check_cap(degree_cap, n, t + h - 1, geometric=True, scale=phi)
     pp = ParamPolynomial(
         _misiurewicz(n, t, h, tau),
         "chat",
@@ -586,7 +609,7 @@ def _parabolic_bounds(n: int, h: int, m: int, dz: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parabolic(n: int, h: int, m: int) -> IntPoly:
-    phi = _dynatomic(n, h, "f_c")
+    phi = _dynatomic(n, h)
     W = _multiplier(n, h)
     psi = cyclotomic(m)
     B = BiPoly.const(psi.coeff(psi.degree), "c", "z")
@@ -624,6 +647,9 @@ def parabolic_param_poly(
     _require(m >= 1, "root-of-unity order m must be >= 1")
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
     _check_iterate_cap(n, h, degree_cap)
+    # the degree D that _parabolic_bounds proves for the elimination
+    phi = _capped_phi(m, degree_cap)
+    _check_cap(degree_cap, _dynatomic_degree(n, h) * h * (n - 1) * phi // n)
     native = ParamPolynomial(
         _parabolic(n, h, m), "c", n, {"kind": "parabolic", "h": h, "m": m}
     )
@@ -649,7 +675,7 @@ def fixed_point_parabolic(n: int, m: int) -> ParamPolynomial:
     """
     _validate_n(n)
     _require(m >= 1, "root-of-unity order m must be >= 1")
-    _check_cap(euler_phi(m), DEFAULT_DEGREE_CAP)
+    _check_cap(DEFAULT_DEGREE_CAP, _capped_phi(m, DEFAULT_DEGREE_CAP))
     base = IntPoly((n, -1), "mu") ** (n - 1) * IntPoly.gen("mu")
     A = BiPoly.gen("bhat", "bhat", "mu") - BiPoly.from_inner_poly(base, outer="bhat")
     B = BiPoly.from_inner_poly(cyclotomic(m, "mu"), outer="bhat")

@@ -27,14 +27,14 @@ from .dynmaps import (
     parabolic_param_poly,
     periodicity_poly,
 )
-from .dynmaps import _strip_factors
+from .dynmaps import _dynatomic_degree, _strip_factors
 from .factorz import _norm_unchecked, factor
 from .numfield import (
     ParabolicCollisionError,
     congruence_certificates,
     dynamical_unit_check,
 )
-from .polycore import IntPoly, moebius, poly_to_json
+from .polycore import IntPoly, poly_to_json
 
 __all__ = [
     "SWEEP_DEGREE_CAP",
@@ -127,12 +127,11 @@ def verify_thm_1_4(n: int, h: int, m: int) -> VerificationReport:
     """
     t0 = time.perf_counter()
     cell = {"n": n, "h": h, "m": m}
-    r = h * m
-    base = n ** r - 1
     witnesses = []
     try:
         for coordinate, scale in (("b", 1), ("bhat", n - 1)):
             param = parabolic_param_poly(n, h, m, coordinate)
+            base = n ** (h * m) - 1  # after the cap check: r = h m may be huge
             for piece, _ in factor(param.poly).factors:
                 bound = base ** (scale * piece.degree)
                 witnesses.append(_divisibility_witness(piece, coordinate, bound))
@@ -380,10 +379,6 @@ def galois_experiment(
 
 # sweep_thm_1_4 reports cells whose dynatomic degree exceeds this as incomplete
 SWEEP_DEGREE_CAP = 80
-
-
-def _dynatomic_degree(n: int, h: int) -> int:
-    return sum(moebius(h // d) * n ** d for d in range(1, h + 1) if h % d == 0)
 
 
 def sweep_thm_1_4(

@@ -94,6 +94,45 @@ def test_poly_iterate_degree_cap():
     assert doc["error"]["kind"] == "degree-cap"
 
 
+# inputs whose refusal once took time in proportion to the index (n^h formed
+# and printed in decimal), or that ran with no cap tied to m or tau
+CAP_REFUSALS = [
+    "poly iterate --n 3 --h 3000000",
+    "poly iterate --n 3 --h 30000000",
+    "poly gleason --n 3 --h 3000000 --coord chat",
+    "poly misiurewicz --n 3 --t 3000000 --h 1 --tau 3",
+    "poly misiurewicz --n 720720 --t 1 --h 1 --tau 720720",
+    "poly parabolic --n 2 --h 1 --m 10007",
+    "poly parabolic --n 2 --h 3 --m 1009",
+    "poly parabolic --n 2 --h 1 --m 720720",
+    "verify thm14 --n 2 --h 1 --m 100003",
+    "verify thm14 --n 3 --h 1 --m 30000000",
+    "galois --kind parabolic --n 2 --h 1 --m 100003",
+]
+
+
+@pytest.mark.parametrize("call", CAP_REFUSALS)
+def test_cap_refuses_huge_indices_at_once(monkeypatch, call):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done past the cap")
+
+    monkeypatch.setattr(dynmaps, "cyclotomic", refuse)
+    monkeypatch.setattr(dynmaps, "resultant", refuse)
+    t0 = time.perf_counter()
+    code, doc = run_json(call.split())
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    if call.startswith("poly"):
+        assert doc["error"]["kind"] == "degree-cap"
+        detail = doc["error"]["detail"]
+    else:
+        assert doc["verdict"] == "incomplete"
+        [witness] = doc["witnesses"]
+        detail = witness["reason"]
+    assert detail.startswith("construction needs degree ")
+    assert len(detail.encode()) < 200
+
+
 def test_poly_iterate_size_cap_refuses_at_once():
     # degree 4096 is within the default cap, but f^12 of z^2 + c would
     # run for about a day (f^8, f^9, f^10 take 0.5, 10 and 240 s)

@@ -53,6 +53,58 @@ def c_poly(*coeffs):
     return IntPoly(coeffs, "c")
 
 
+# Reference builders: each family by its own recurrence, independent of the
+# library's derivation of (b, w) from (c, z) and of c from chat.
+
+
+def ref_iterate_gb(n, k):
+    """(P_k, N_k) by P_1 = w^n + b, N_1 = n, P_{k+1} = P_k^n + N_k^n b and
+    N_{k+1} = n N_k^n."""
+    poly, denom = BiPoly(((0,) * n + (1,), (1,)), "b", "w"), n
+    for _ in range(k - 1):
+        poly, denom = poly ** n + BiPoly.gen("b", "b", "w") * denom ** n, n * denom ** n
+    return poly, denom
+
+
+def ref_dynatomic_gb(n, h):
+    """prod over d | h of (P_d - N_d w)^mu(h/d), by exact division."""
+    def term(d):
+        poly, denom = ref_iterate_gb(n, d)
+        return poly - BiPoly.gen("w", "b", "w") * denom
+
+    divisors = [d for d in range(1, h + 1) if h % d == 0]
+    num = BiPoly.const(1, "b", "w")
+    for d in divisors:
+        if polycore.moebius(h // d) == 1:
+            num = num * term(d)
+    for d in divisors:
+        if polycore.moebius(h // d) == -1:
+            num = num.divexact(term(d))
+    return num
+
+
+def ref_critical_value(n, k):
+    """f^k(0) in c by a_1 = c, a_{j+1} = a_j^n + c."""
+    a = IntPoly.gen("c")
+    for _ in range(k - 1):
+        a = a ** n + IntPoly.gen("c")
+    return a
+
+
+def ref_gleason_c(n, h):
+    """f^h(0) with every factor shared with a lower f^h'(0), h' | h,
+    divided out, made primitive."""
+    D = ref_critical_value(n, h)
+    for h2 in range(1, h):
+        if h % h2 == 0:
+            D = dynmaps._strip_factors(D, ref_critical_value(n, h2))
+    return D.primitive_part()
+
+
+# (n, largest index): iterates of degree 64 to 125
+REFERENCE_RANGE = ((2, 6), (3, 4), (4, 3), (5, 3))
+
+
 # ---------------------------------------------------------------------------
 # iterates
 
@@ -106,6 +158,28 @@ def test_monic_structure_both_variables():
             assert lead_b.coeffs[-1] == 1
 
 
+@pytest.mark.parametrize("n, kmax", REFERENCE_RANGE)
+def test_gb_families_match_their_own_recurrences(n, kmax):
+    # iterate_poly_gb, periodicity_poly and dynatomic(g_b) are the (c, z)
+    # objects rescaled; each must equal the (b, w) recurrence it replaces
+    w = BiPoly.gen("w", "b", "w")
+    for k in range(1, kmax + 1):
+        poly, denom = ref_iterate_gb(n, k)
+        pair = iterate_poly_gb(n, k)
+        assert (pair.poly, pair.denom) == (poly, denom)
+        assert periodicity_poly(n, k) == poly - w * denom
+        assert dynatomic(n, k, "g_b") == ref_dynatomic_gb(n, k)
+
+
+@pytest.mark.parametrize("n, kmax", REFERENCE_RANGE)
+def test_c_families_match_the_direct_orbit_of_zero(n, kmax):
+    # critical_value_poly and gleason_poly(c) are the chat objects stretched;
+    # each must equal f^h(0) built and stripped in c
+    for k in range(1, kmax + 2):
+        assert critical_value_poly(n, k) == ref_critical_value(n, k)
+        assert gleason_poly(n, k, "c").poly == ref_gleason_c(n, k)
+
+
 def test_periodicity_poly_examples():
     w = BiPoly.gen("w", "b", "w")
     b = BiPoly.gen("b", "b", "w")
@@ -145,8 +219,8 @@ def test_iterate_size_cap_refuses_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("iterate built")
 
-    monkeypatch.setattr(dynmaps, "_iterate_fc", refuse)
-    monkeypatch.setattr(dynmaps, "_iterate_gb", refuse)
+    for builder in ("_iterate_fc", "_dynatomic", "_multiplier", "_to_gb"):
+        monkeypatch.setattr(dynmaps, builder, refuse)
     for build in (iterate_map, iterate_poly_gb, dynatomic, multiplier_poly,
                   multiplier_resultant, periodicity_poly):
         with pytest.raises(DegreeCapError, match="coefficient bits"):
@@ -351,7 +425,7 @@ def test_parabolic_matches_multiplier_resultant_route():
 
 
 def _parabolic_inputs(n, h, m):
-    phi = dynmaps._dynatomic(n, h, "f_c")
+    phi = dynmaps._dynatomic(n, h)
     psi = cyclotomic(m)
     B = BiPoly.const(psi.coeff(psi.degree), "c", "z")
     for i in range(psi.degree - 1, -1, -1):
@@ -587,6 +661,50 @@ def test_fixed_point_parabolic_refuses_past_the_cap(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_huge_root_of_unity_order_is_refused_without_factoring(monkeypatch):
+    # phi(m) >= sqrt(m/2) passes the cap once m > 2 cap^2, so no builder
+    # needs phi(m), Psi_m or an elimination to refuse it
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done past the cap")
+
+    for name in ("cyclotomic", "resultant", "euler_phi"):
+        monkeypatch.setattr(dynmaps, name, refuse)
+    m = 2 * dynmaps.DEFAULT_DEGREE_CAP ** 2 + 1
+    for build in (lambda: fixed_point_parabolic(2, m),
+                  lambda: parabolic_param_poly(2, 1, m),
+                  lambda: misiurewicz_poly(m, 1, 1, m)):
+        with pytest.raises(DegreeCapError, match=r"sqrt\(m/2\)"):
+            build()
+
+
+def test_degree_cap_decides_from_exponents_as_from_the_degree():
+    # the exponent shortcut refuses exactly what the exact degree does, and
+    # a degree below 2^64 is still printed in decimal
+    for cap in (0, 1, 4096, 2 ** 64, 2 ** 100):
+        for base in (2, 3, 5, 2 ** 20):
+            for k in range(1, 90):
+                for geometric in (False, True):
+                    for scale in (1, 6):
+                        needed = scale * ((base ** k - 1) // (base - 1) if geometric
+                                          else base ** k)
+                        try:
+                            dynmaps._check_cap(cap, base, k, geometric, scale)
+                        except DegreeCapError as exc:
+                            assert needed > cap
+                            if needed < 2 ** 64:
+                                assert exc.needed == needed
+                        else:
+                            assert needed <= cap
+    with pytest.raises(DegreeCapError, match="needs degree 8192, which exceeds the cap 4096"):
+        iterate_map(2, 13)
+    # past 2^64 the degree is printed exactly, as a power
+    for needed, args in (("3^3000000", (3, 3000000)),
+                         ("2*(3^3000000 - 1)/2", (3, 3000000, True, 2))):
+        with pytest.raises(DegreeCapError) as info:
+            dynmaps._check_cap(4096, *args)
+        assert info.value.needed == needed
+
+
 def test_fixed_point_agrees_with_parabolic_elimination():
     for n in (2, 3, 4):
         for m in range(1, 7):
@@ -633,24 +751,27 @@ def test_types_carry_their_indices():
 # memo tables
 
 MEMO_BUILDERS = [
-    dynmaps._iterate_fc, dynmaps._iterate_gb, dynmaps._orbit,
-    dynmaps._critical_value, dynmaps._dynatomic, dynmaps._multiplier,
+    dynmaps._iterate_fc, dynmaps._orbit, dynmaps._dynatomic, dynmaps._multiplier,
     dynmaps._multiplier_resultant, dynmaps._gleason, dynmaps._misiurewicz_raw,
     dynmaps._misiurewicz, dynmaps._parabolic, numfield._char_poly,
     polycore._cyclotomic_coeffs,
 ]
 GAUSS = NumberField(RatPoly((1, 0, 1)))  # x^2 + 1
-C = IntPoly.gen("c")
+CHAT = IntPoly.gen("chat")
 PRIMES = [q for q in range(2, 8000) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
 
 
 def test_every_memo_table_has_the_one_bound():
     assert {b.cache_info().maxsize for b in MEMO_BUILDERS} == {_MEMO_SIZE}
+    # and MEMO_BUILDERS names every memo table of the exact layers
+    tables = {f for module in (dynmaps, numfield, polycore)
+              for f in vars(module).values() if hasattr(f, "cache_info")}
+    assert tables == set(MEMO_BUILDERS)
 
 
 @pytest.mark.parametrize("builder, key, expect", [
-    # f_c^2(0) = c^n + c
-    (dynmaps._critical_value, lambda i: (i + 2, 2), lambda i: C ** (i + 2) + C),
+    # P_3 = chat (chat + 1)^n + 1; each key also fills (n, 2)
+    (dynmaps._orbit, lambda i: (i + 2, 3), lambda i: CHAT * (CHAT + 1) ** (i + 2) + 1),
     # the characteristic polynomial of i + sqrt(-1) is y^2 - 2i y + i^2 + 1
     (numfield._char_poly, lambda i: (GAUSS.element((i, 1)),),
      lambda i: RatPoly((i * i + 1, -2 * i, 1), "y")),
