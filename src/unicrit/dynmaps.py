@@ -395,55 +395,45 @@ def _multiplier_resultant(n: int, h: int) -> BiPoly:
 # ---------------------------------------------------------------------------
 # coordinate transforms
 
-# directed transform steps available for n >= 3
-_TRANSFORM_STEPS = {
-    ("c", "chat"): ("power",),
-    ("c", "bhat"): ("power", "scale_up"),
-    ("b", "bhat"): ("power",),
-    ("b", "chat"): ("power", "scale_down"),
-    ("chat", "bhat"): ("scale_up",),
-    ("bhat", "chat"): ("scale_down",),
-}
+
+def _to_coordinate(poly: IntPoly, n: int, src: str, dst: str) -> IntPoly:
+    """A polynomial in coordinate dst satisfied by the dst value of every
+    parameter whose src value is a root of poly.
+
+    Up from c or b by (n-1)-st powers of the roots (n > 2; for n = 2 the
+    power coordinates are the plain ones), across between the c and b
+    families by the root scale n^n or n^-n, and down into c or b by
+    x -> x^(n-1), which every (n-1)-st root of a root satisfies.
+    """
+    if src in ("c", "b") and n > 2:
+        poly = squarefree_part(root_power_transform(poly, n - 1))
+    across = (dst in ("b", "bhat")) - (src in ("b", "bhat"))
+    if across:
+        poly = root_scale_transform(poly, Fraction(n ** n) ** across)
+    if dst in ("c", "b"):
+        poly = _stretch(poly, n - 1)
+    return poly.rename(dst).primitive_part()
 
 
 def coord_transform(p: ParamPolynomial, coordinate: str) -> ParamPolynomial:
-    """Rewrite a parameter polynomial in another coordinate.
+    """Rewrite a parameter polynomial in another coordinate, by
+    _to_coordinate.
 
-    Available moves: c -> chat and b -> bhat take (n-1)-st powers of the
-    roots; chat <-> bhat scale the roots by n^n.  For n = 2 the power
-    coordinates coincide with the plain ones and every direction works
-    (c <-> b is the rational scaling by 4).  For n >= 3 there is no path
-    back down to c or b, and c <-> b itself would need the irrational
-    scale n^(n/(n-1)), so those requests are rejected.
+    For n = 2 the power coordinates coincide with the plain ones and every
+    direction works (c <-> b is the rational scaling by 4).  For n >= 3 a
+    polynomial in c or b would be satisfied by every (n-1)-st root of a
+    root, not by the parameters alone (and c <-> b itself would need the
+    irrational scale n^(n/(n-1))), so requests for c or b are rejected.
     """
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
     if coordinate == p.coordinate:
         return p
-    n = p.n
-    poly = p.poly
-    if n == 2:
-        grp_src = 0 if p.coordinate in ("c", "chat") else 1
-        grp_dst = 0 if coordinate in ("c", "chat") else 1
-        if grp_src < grp_dst:
-            poly = root_scale_transform(poly, Fraction(4))
-        elif grp_src > grp_dst:
-            poly = root_scale_transform(poly, Fraction(1, 4))
-    else:
-        steps = _TRANSFORM_STEPS.get((p.coordinate, coordinate))
-        if steps is None:
-            raise ValueError(
-                f"no transform path from {p.coordinate!r} to {coordinate!r} for n = {n}"
-            )
-        for step in steps:
-            if step == "power":
-                poly = squarefree_part(root_power_transform(poly, n - 1))
-            elif step == "scale_up":
-                poly = root_scale_transform(poly, Fraction(n ** n))
-            else:
-                poly = root_scale_transform(poly, Fraction(1, n ** n))
-    return ParamPolynomial(
-        poly.rename(coordinate).primitive_part(), coordinate, n, p.provenance
-    )
+    if p.n > 2 and coordinate in ("c", "b"):
+        raise ValueError(
+            f"no transform path from {p.coordinate!r} to {coordinate!r} for n = {p.n}"
+        )
+    poly = _to_coordinate(p.poly, p.n, p.coordinate, coordinate)
+    return ParamPolynomial(poly, coordinate, p.n, p.provenance)
 
 
 def _stretch(p: IntPoly, k: int) -> IntPoly:
@@ -496,7 +486,7 @@ def gleason_poly(
     prov = {"kind": "gleason", "h": h}
     if coordinate == "c":
         _check_cap(degree_cap, n, h - 1)
-        poly = IntPoly.gen("c") if h == 1 else _stretch(_gleason(n, h), n - 1).rename("c")
+        poly = IntPoly.gen("c") if h == 1 else _to_coordinate(_gleason(n, h), n, "chat", "c")
         return ParamPolynomial(poly, "c", n, prov)
     if h == 1:
         raise SpecialCaseError(
@@ -655,12 +645,8 @@ def parabolic_param_poly(
     )
     if coordinate == "c":
         return native
-    if coordinate == "b" and n > 2:
-        bhat = coord_transform(native, "bhat")
-        return ParamPolynomial(
-            _stretch(bhat.poly, n - 1).rename("b"), "b", n, native.provenance
-        )
-    return coord_transform(native, coordinate)
+    poly = _to_coordinate(native.poly, n, "c", coordinate)
+    return ParamPolynomial(poly, coordinate, n, native.provenance)
 
 
 def fixed_point_parabolic(n: int, m: int) -> ParamPolynomial:

@@ -14,6 +14,11 @@ perturbation of relative size exp(-(n-1) tau) / n^K, which decays to
 nothing as t -> 0, so landing extrapolation is unaffected by the
 truncation.
 
+One continuation (_continue) sequences the solves: it extends a path
+point by point along decreasing potential, with one step-halving rule and
+one continuity guard.  The trace runs it over a geometric schedule, and
+the landing extrapolation over a finer descent below the traced end.
+
 Everything here is approximate at one configurable precision.  Each
 Newton solve runs in fixed-point Python integers with _GUARD_BITS bits
 below that precision: the orbit f_c^K(c) with its c-derivative (_orbit),
@@ -348,37 +353,51 @@ def _solve_ray_point(n: int, angle: Angle, t, c0, bits: int,
     )
 
 
-def _solve_with_retries(n, angle, t_prev, t, c_prev, c_older, bits):
-    """Continue from (t_prev, c_prev) to potential t, halving the potential
-    step on Newton divergence.  Returns the list of accepted (t, c) points
-    (intermediate retry levels included)."""
-    guess = c_prev
-    if c_older is not None and c_prev is not None:
-        guess = 2 * c_prev - c_older  # linear predictor along the schedule
-    try:
-        return [(t, _solve_ray_point(n, angle, t, guess, bits))]
-    except NewtonDivergenceError:
-        pass
-    points = []
-    lo = t
-    for _ in range(_MAX_STEP_HALVINGS):
-        mid = mp.sqrt(t_prev * lo) if t_prev is not None else lo
-        try:
-            c_mid = _solve_ray_point(n, angle, mid, c_prev, bits)
-        except NewtonDivergenceError:
-            lo = mid
-            continue
-        points.append((mid, c_mid))
-        t_prev, c_prev = mid, c_mid
-        try:
-            points.append((t, _solve_ray_point(n, angle, t, c_prev, bits)))
-            return points
-        except NewtonDivergenceError:
-            lo = t
-    raise NewtonDivergenceError(
-        f"ray {angle} (n={n}): Newton diverged at potential "
-        f"{mp.nstr(mp.mpf(t), 8)} after {_MAX_STEP_HALVINGS} step halvings"
-    )
+def _continue(n, angle, points, potentials, bits):
+    """Extend the path `points`, a list of (t, c) at decreasing potential,
+    to each of `potentials` in turn: the one continuation of every ray.
+
+    The first solve at a potential starts from the linear predictor through
+    the last two points.  Newton divergence halves the potential step
+    geometrically from the last accepted point, and the solves after a
+    halving start at that point, as the predictor's step no longer fits;
+    accepted midpoints join the path, and divergence after
+    _MAX_STEP_HALVINGS halvings at one potential is fatal.  A jump bigger
+    than _CONTINUITY_FACTOR times the previous step plus the solves' own
+    step floor 2^(8 - bits) (1 + |c|) raises ContinuityError rather than
+    risk hopping to a neighboring ray.
+    """
+    for target in potentials:
+        t, halvings = target, 0
+        while points[-1][0] != target:
+            t_prev, c_prev = points[-1]
+            guess = c_prev
+            if len(points) >= 2 and not halvings:
+                guess = 2 * c_prev - points[-2][1]
+            try:
+                c = _solve_ray_point(n, angle, t, guess, bits)
+            except NewtonDivergenceError:
+                if halvings == _MAX_STEP_HALVINGS:
+                    raise NewtonDivergenceError(
+                        f"ray {angle} (n={n}): Newton diverged at potential "
+                        f"{mp.nstr(mp.mpf(target), 8)} after {_MAX_STEP_HALVINGS} "
+                        "step halvings"
+                    ) from None
+                halvings += 1
+                t = mp.sqrt(t_prev * t)
+                continue
+            if len(points) >= 2:
+                jump = abs(c - c_prev)
+                bound = _CONTINUITY_FACTOR * abs(c_prev - points[-2][1])
+                # the floor only matters past the bound: compute it there
+                if jump > bound and jump > bound + mp.ldexp(1 + abs(c), 8 - bits):
+                    raise ContinuityError(
+                        f"ray {angle} (n={n}): jump {mp.nstr(jump, 5)} at "
+                        f"potential {mp.nstr(mp.mpf(t), 8)} exceeds "
+                        f"{_CONTINUITY_FACTOR}x the local step"
+                    )
+            points.append((t, c))
+            t = target
 
 
 def trace_param_ray(
@@ -390,12 +409,14 @@ def trace_param_ray(
     precision_bits: int = 256,
 ) -> RayPath:
     """Continue the external ray of the given angle from potential_start
-    down to potential_end.
+    down to potential_end, steps_per_halving geometric steps per halving
+    of the potential, the last one clamped to potential_end.
 
+    The path is the start point plus one _continue over the schedule, so
     Newton divergence at a level triggers geometric step halving (fatal
-    after a fixed retry budget); a jump bigger than 10x the previous
-    accepted step aborts with ContinuityError rather than risk hopping
-    to a neighboring ray.
+    after a fixed retry budget), and a jump far beyond the previous
+    accepted step aborts with ContinuityError rather than risk hopping to
+    a neighboring ray.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -409,26 +430,11 @@ def trace_param_ray(
         start = mp.mpf(potential_start)
         end = mp.mpf(potential_end)
         ratio = mp.mpf(2) ** (mp.mpf(-1) / steps_per_halving)
+        schedule = [start]
+        while schedule[-1] > end:
+            schedule.append(max(schedule[-1] * ratio, end))
         points = [(start, _solve_ray_point(n, angle, start, None, precision_bits))]
-        t = start
-        while t > end:
-            t = max(t * ratio, end)
-            t_prev, c_prev = points[-1]
-            c_older = points[-2][1] if len(points) >= 2 else None
-            new_pts = _solve_with_retries(
-                n, angle, t_prev, t, c_prev, c_older, precision_bits
-            )
-            for t_new, c_new in new_pts:
-                if len(points) >= 2:
-                    prev_step = abs(points[-1][1] - points[-2][1])
-                    jump = abs(c_new - points[-1][1])
-                    if jump > _CONTINUITY_FACTOR * prev_step and jump > 1e-12:
-                        raise ContinuityError(
-                            f"ray {angle} (n={n}): jump {mp.nstr(jump, 5)} at "
-                            f"potential {mp.nstr(mp.mpf(t_new), 8)} exceeds "
-                            f"{_CONTINUITY_FACTOR}x the local step"
-                        )
-                points.append((t_new, c_new))
+        _continue(n, angle, points, schedule[1:], precision_bits)
     return RayPath(angle, n, tuple(points), precision_bits)
 
 
@@ -471,42 +477,29 @@ def _extrapolate_landing(n, angle, path):
     window extrapolations agree, so fast landings stop shallow and
     parabolic ones go deep.
 
-    Two numerical guard rails, both load-bearing: the continuation step
-    keeps the depth-K iterate's modulus factor bounded (a full n^-r jump
-    would hop to a neighboring ray), and each node is re-solved at a
-    deeper escape radius to shrink the truncation bias of the escape
-    approximation before it enters the divided differences.
+    Two numerical guard rails, both load-bearing: the descent is a fresh
+    _continue path from the traced end (whose last step is clamped, so
+    shorter) in steps that keep the depth-K iterate's modulus factor
+    bounded (a full n^-r jump would hop to a neighboring ray), and each
+    node, the traced end included, is re-solved at a deeper escape radius
+    to shrink the truncation bias of the escape approximation before it
+    enters the divided differences.
     """
     bits = path.precision_bits
     r = angle_orbit(angle, n)[1]
     steps = max(1, math.ceil(4 * r * n * math.log(n)))
     with mp.workprec(bits):
         ratio = mp.mpf(n) ** (mp.mpf(-r) / steps)
-        prev = None  # the traced path ends on a clamped, shorter step
-        cur = path.points[-1]
-        nodes = [
-            (cur[0], _solve_ray_point(n, angle, cur[0], cur[1], bits, _TAU_POLISH))
-        ]
-        est, prev_est = nodes[-1][1], None
+        descent = [path.points[-1]]
+        nodes, prev_est = [], None
         while len(nodes) < _LANDING_MAX_NODES:
             try:
-                for _ in range(steps):
-                    t = cur[0] * ratio
-                    guess = 2 * cur[1] - prev[1] if prev is not None else cur[1]
-                    c = _solve_ray_point(n, angle, t, guess, bits)
-                    if prev is not None:
-                        jump = abs(c - cur[1])
-                        if jump > _CONTINUITY_FACTOR * abs(cur[1] - prev[1]) + 1e-20:
-                            raise ContinuityError(
-                                f"ray {angle} (n={n}): jump {mp.nstr(jump, 5)} "
-                                f"at potential {mp.nstr(t, 8)} during landing "
-                                "descent"
-                            )
-                    prev, cur = cur, (t, c)
-                nodes.append(
-                    (cur[0],
-                     _solve_ray_point(n, angle, cur[0], cur[1], bits, _TAU_POLISH))
-                )
+                if nodes:
+                    # lazily: each potential is one ratio below the last point
+                    _continue(n, angle, descent,
+                              (descent[-1][0] * ratio for _ in range(steps)), bits)
+                t, c = descent[-1]
+                nodes.append((t, _solve_ray_point(n, angle, t, c, bits, _TAU_POLISH)))
             except PrecisionExhaustedError:
                 # the landing is already resolved to working precision;
                 # extrapolate from what we have
@@ -518,7 +511,7 @@ def _extrapolate_landing(n, angle, path):
                 if prev_est is not None and abs(est - prev_est) <= _LANDING_AGREE:
                     return est
                 prev_est = est
-        return _neville_zero(nodes[-_LANDING_WINDOW:]) if len(nodes) >= 3 else est
+        return _neville_zero(nodes[-_LANDING_WINDOW:])
 
 
 def complex_roots(p: IntPoly, precision_bits: int = 256) -> list:

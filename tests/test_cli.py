@@ -357,6 +357,21 @@ def test_ray_trace_newton_divergence_is_numeric():
     )
 
 
+@pytest.mark.parametrize("angle, cand, factor, root", [
+    ("1/4", "misiurewicz:2,1,2", ["2", "2", "2", "1"], 2),
+    ("1/6", "misiurewicz:1,2,2", ["1", "0", "1"], 1),
+])
+def test_ray_land_at_96_bits_halves_the_descent_step(angle, cand, factor, root):
+    # with 96 bits Newton diverges at a potential of the landing descent;
+    # halving the step there lands on the same root as at 256 bits (it
+    # exited 1, "numeric", while the descent had no step halving)
+    code, doc = run_json(["ray", "land", "--n", "2", "--angle", angle,
+                          "--candidates", cand, "--precision-bits", "96"])
+    assert (code, doc["status"]) == (0, "matched")
+    assert (doc["matched_factor"]["coeffs"], doc["root_index"]) == (factor, root)
+    assert float(doc["match_distance"]) < 1e-9
+
+
 def test_ray_trace_subnormal_potential_is_classified():
     # potentials below the double range (~1e-308) end in a classified JSON
     # error, not a traceback from a float overflow

@@ -37,6 +37,8 @@ from unicrit.polycore import (
     cyclotomic,
     product_equals,
     resultant,
+    root_power_transform,
+    root_scale_transform,
     squarefree_part,
 )
 
@@ -630,6 +632,66 @@ def test_coord_transform_composed_path_consistent():
     one_shot = coord_transform(pc, "bhat")
     via_chat = coord_transform(coord_transform(pc, "chat"), "bhat")
     assert one_shot.poly == via_chat.poly
+
+
+# the directed step table coord_transform walked for n >= 3 before one rule
+# (up, across, down) replaced it, and its n = 2 scaling branch: the reference
+# every (src, dst) pair is checked against
+_REFERENCE_STEPS = {
+    ("c", "chat"): ("power",),
+    ("c", "bhat"): ("power", "scale_up"),
+    ("b", "bhat"): ("power",),
+    ("b", "chat"): ("power", "scale_down"),
+    ("chat", "bhat"): ("scale_up",),
+    ("bhat", "chat"): ("scale_down",),
+}
+
+
+def _reference_transform(poly, n, src, dst):
+    if n == 2:
+        grp_src = 0 if src in ("c", "chat") else 1
+        grp_dst = 0 if dst in ("c", "chat") else 1
+        if grp_src < grp_dst:
+            poly = root_scale_transform(poly, Fraction(4))
+        elif grp_src > grp_dst:
+            poly = root_scale_transform(poly, Fraction(1, 4))
+    else:
+        for step in _REFERENCE_STEPS[src, dst]:
+            if step == "power":
+                poly = squarefree_part(root_power_transform(poly, n - 1))
+            elif step == "scale_up":
+                poly = root_scale_transform(poly, Fraction(n ** n))
+            else:
+                poly = root_scale_transform(poly, Fraction(1, n ** n))
+    return poly.rename(dst).primitive_part()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coord_transform_matches_the_step_table(n):
+    for coeffs in ((3, -1, 2), (-5, 0, 1, 1), (-4, 0, 1)):
+        for src in dynmaps.COORDINATES:
+            p = ParamPolynomial(IntPoly(coeffs, src), src, n, {"kind": "other"})
+            for dst in dynmaps.COORDINATES:
+                if dst == src:
+                    assert coord_transform(p, dst) is p
+                elif n > 2 and dst in ("c", "b"):
+                    with pytest.raises(ValueError, match="no transform path"):
+                        coord_transform(p, dst)
+                else:
+                    want = _reference_transform(p.poly, n, src, dst)
+                    assert coord_transform(p, dst).poly == want, (src, dst)
+
+
+def test_parabolic_b_and_gleason_c_go_down_by_x_to_the_n_minus_1():
+    # b: the bhat polynomial at bhat = b^(n-1); c: the chat one at c^(n-1)
+    def down(p, n, var):
+        return IntPoly([p.coeff(i // (n - 1)) if i % (n - 1) == 0 else 0
+                        for i in range(p.degree * (n - 1) + 1)], var)
+
+    for n in (2, 3, 4):
+        assert parabolic_param_poly(n, 1, 2, "b").poly == down(
+            parabolic_param_poly(n, 1, 2, "bhat").poly, n, "b")
+        assert gleason_poly(n, 3, "c").poly == down(gleason_poly(n, 3, "chat").poly, n, "c")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,16 @@ from unicrit.raytrace import (
     _TAU_POLISH,
     TAU_ESCAPE,
     Angle,
+    ContinuityError,
     NewtonDivergenceError,
     PrecisionExhaustedError,
     RayPath,
     RayTraceError,
     _candidate_poly,
+    _continue,
     _depth,
     _escaped,
+    _extrapolate_landing,
     _from_fixed,
     _orbit,
     _ray_target,
@@ -397,6 +400,128 @@ def test_newton_loop_escape_step_matches_mpc_loop(monkeypatch, bits):
         got = _outcome(monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits, tau))
         assert not isinstance(ref[0], type)
         _assert_same_outcome(n, angle, t, 1, bits, ref, got)
+
+
+# ---------------------------------------------------------------- continuation
+
+def _spy(monkeypatch, diverge=lambda t, tau: False, shift=lambda t, tau: 0):
+    """Record (t, c0, tau) of every _solve_ray_point call; a call where
+    diverge(t, tau) holds raises NewtonDivergenceError, and every other one
+    returns the true solve moved by shift(t, tau)."""
+    solve, calls = raytrace._solve_ray_point, []
+
+    def spy(n, angle, t, c0, bits, tau=TAU_ESCAPE):
+        calls.append((t, c0, tau))
+        if diverge(t, tau):
+            raise NewtonDivergenceError(f"injected at potential {t}")
+        return solve(n, angle, t, c0, bits, tau) + shift(t, tau)
+
+    monkeypatch.setattr(raytrace, "_solve_ray_point", spy)
+    return calls
+
+
+def _once(pred):
+    """pred, but true at most once."""
+    hits = []
+    return lambda *a: not hits and pred(*a) and not hits.append(1)
+
+
+# a short, coarse 1/3 trace: 32 down to 1 in steps of 2^-1/2
+_SHORT = {"potential_start": 32.0, "potential_end": 1.0, "steps_per_halving": 2,
+          "precision_bits": 64}
+
+
+@pytest.fixture(scope="module")
+def short_potentials():
+    return [t for t, _ in trace_param_ray(2, Angle(1, 3), **_SHORT).points]
+
+
+def test_trace_divergence_halves_the_step_once(monkeypatch, short_potentials):
+    ts = short_potentials
+    calls = _spy(monkeypatch, _once(lambda t, tau: t == ts[4]))
+    path = trace_param_ray(2, Angle(1, 3), **_SHORT)
+    c2, c3, c_mid = path.points[2][1], path.points[3][1], path.points[4][1]
+    with mp.workprec(64):
+        mid, predictor = mp.sqrt(ts[3] * ts[4]), 2 * c3 - c2
+    assert [t for t, _ in path.points] == ts[:4] + [mid] + ts[4:]
+    # the first try at ts[4] starts from the linear predictor; after the
+    # halving, the midpoint and ts[4] start from the last accepted point
+    assert [t for t, _, _ in calls[4:7]] == [ts[4], mid, ts[4]]
+    assert [c0 for _, c0, _ in calls[4:7]] == [predictor, c3, c_mid]
+
+
+def test_trace_divergence_is_fatal_after_ten_halvings(monkeypatch, short_potentials):
+    ts = short_potentials
+    calls = _spy(monkeypatch, lambda t, tau: t < ts[3])
+    with pytest.raises(NewtonDivergenceError) as info:
+        trace_param_ray(2, Angle(1, 3), **_SHORT)
+    assert str(info.value) == (
+        f"ray 1/3 (n=2): Newton diverged at potential {mp.nstr(ts[4], 8)} "
+        "after 10 step halvings"
+    )
+    assert len(calls) == 4 + 11  # the first try and one per halving
+
+
+def _half_ray_path():
+    return trace_param_ray(2, Angle(1, 2), potential_end=1e-8,
+                           steps_per_halving=3, precision_bits=128)
+
+
+def test_landing_descent_halves_the_step_on_divergence(monkeypatch):
+    path = _half_ray_path()
+    calls = _spy(monkeypatch, _once(lambda t, tau: tau == TAU_ESCAPE))
+    landing = _extrapolate_landing(2, Angle(1, 2), path)
+    assert abs(landing + 2) < 1e-9
+    # the traced end's polish, the diverging first descent potential, its
+    # midpoint from the traced end, then that potential again
+    (t_end, _, tau), (t1, _, _), (t_mid, c_mid0, _), (t1_again, _, _) = calls[:4]
+    assert (t_end, tau) == (path.points[-1][0], _TAU_POLISH)
+    with mp.workprec(128):
+        assert t_mid == mp.sqrt(t_end * t1)
+    assert c_mid0 == path.points[-1][1]
+    assert t1_again == t1
+
+
+def test_far_point_breaks_continuity_in_trace_and_descent(monkeypatch, short_potentials):
+    ts = short_potentials
+    # the coarse steps near potential 1 move c by about 10
+    _spy(monkeypatch, shift=lambda t, tau: 1000 if t == ts[-1] else 0)
+    with pytest.raises(ContinuityError, match=f"at potential {mp.nstr(ts[-1], 8)} exceeds"):
+        trace_param_ray(2, Angle(1, 3), **_SHORT)
+    monkeypatch.undo()
+    path = _half_ray_path()
+    # the first descent point has no previous step to compare with; the
+    # second one jumps
+    far = _once(lambda t, tau: tau == TAU_ESCAPE and t < path.points[-1][0] / 2 ** 0.2)
+    _spy(monkeypatch, shift=lambda t, tau: 1 if far(t, tau) else 0)
+    with pytest.raises(ContinuityError, match=r"ray 1/2 \(n=2\): jump 1\.0"):
+        _extrapolate_landing(2, Angle(1, 2), path)
+
+
+def _continue_with(monkeypatch, points, c, bits):
+    """_continue one potential below points, where the solve returns c."""
+    monkeypatch.setattr(raytrace, "_solve_ray_point", lambda *a: c)
+    with mp.workprec(bits):
+        _continue(2, Angle(1, 2), points, [points[-1][0] / 2], bits)
+    return points
+
+
+def test_continuity_floor_follows_the_precision(monkeypatch):
+    with mp.workprec(256):
+        c = mp.mpc(-2)
+        ts = [mp.mpf(4), mp.mpf(2)]
+        # 1e-18 steps: a 5e-18 jump is continuous, a 1e-15 one is not, though
+        # a fixed floor of 1e-12 would have let it pass
+        pts = _continue_with(monkeypatch, list(zip(ts, [c, c + 1e-18])), c + 6e-18, 256)
+        assert pts[-1] == (1, c + 6e-18)
+        with pytest.raises(ContinuityError):
+            _continue_with(monkeypatch, list(zip(ts, [c, c + 1e-18])), c + 1e-15, 256)
+    with mp.workprec(64):
+        # solves stalled at the step floor repeat c exactly; a jump under
+        # the 64-bit floor 2^-56 (1 + |c|) ~ 4e-17 is still continuous
+        c = mp.mpc(-2)
+        pts = _continue_with(monkeypatch, list(zip(ts, [c, c])), c + 1e-17, 64)
+        assert pts[-1] == (1, c + 1e-17)
 
 
 # ---------------------------------------------------------------- roots
