@@ -38,7 +38,7 @@ from .polycore import (
     root_scale_transform,
     squarefree_part,
 )
-from .polycore import _interpolate, _point_run
+from .polycore import _interpolate
 
 __all__ = [
     "COORDINATES",
@@ -359,9 +359,14 @@ def multiplier_resultant(
     """q(c, mu) = Res_z(Phi_h(c, z), mu - (f^h)'(z)).
 
     Each exact-period-h orbit with multiplier mu0 contributes (mu - mu0)^h,
-    so q is monic of degree nu(h) in mu.  Computed by evaluating c at
-    integer points, taking bivariate resultants in (mu, z) by the exact
-    subresultant PRS, and interpolating back; both steps are exact.
+    so q is monic of degree nu(h) in mu.  Computed by evaluating c at the
+    integer points 0, ..., D, taking bivariate resultants in (mu, z) by the
+    exact subresultant PRS, and interpolating back; both steps are exact.
+    D is the degree that _parabolic_bounds(n, h, 1, dz) proves: each
+    mu-coefficient of q is a symmetric function of at most dz = deg_z Phi_h
+    multipliers, and each multiplier grows like |c|^(h(n-1)/n) on the
+    periodic-point disc.  Phi_h and (f^h)' have leading coefficients 1 and
+    n^h in z, so no point drops a degree.
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
@@ -374,19 +379,15 @@ def _multiplier_resultant(n: int, h: int) -> BiPoly:
     phi = _dynatomic(n, h)
     W = _multiplier(n, h)
     dmu = phi.degree("z")
-    dbound = dmu * W.degree("c") + W.degree("z") * phi.degree("c")
-    start = _point_run(
-        phi.as_univariate_in("z")[-1], W.as_univariate_in("z")[-1], dbound + 1
-    )
     vals = []
-    for x in range(start, start + dbound + 1):
+    for x in range(_parabolic_bounds(n, h, 1, dmu)[0] + 1):
         A = BiPoly.from_inner_poly(phi.eval_at("c", x), outer="mu")
         B = BiPoly.gen("mu", "mu", "z") - BiPoly.from_inner_poly(
             W.eval_at("c", x), outer="mu"
         )
         vals.append(resultant(A, B, eliminate="z"))
     cols = [
-        _interpolate(start, [v.coeff(j) for v in vals], "c")
+        _interpolate(0, [v.coeff(j) for v in vals], "c")
         for j in range(dmu + 1)
     ]
     return BiPoly.from_univariate(cols, var="mu", outer="c", inner="mu")

@@ -4,8 +4,10 @@ Zassenhaus with the usual refinements: Yun squarefree decomposition, prime
 selection over several candidates, a Berlekamp factor-count fast path that
 proves irreducibility outright when some prime sees a single factor,
 distinct/equal-degree factorization over GF(p), quadratic Hensel lifting
-along a factor tree, and subset recombination against a rigorous factor
-coefficient bound.  Output order is deterministic: (degree, coefficients).
+that splits the factor list in two and recurses, and subset recombination
+against a rigorous factor coefficient bound.  A non-monic input is
+factored through its monic root scaling.  Output order is deterministic:
+(degree, coefficients).
 
 Coefficient-list arithmetic over GF(p) and Z/m (products, division, gcd,
 symmetric lift) comes from polycore's modular kernel.  Arithmetic in
@@ -27,6 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .polycore import (
     gcd_fast,
     poly_from_json,
     poly_to_json,
+    root_scale_transform,
 )
 
 # Degrees that share one gcd in distinct-degree factorization: a gcd costs
@@ -240,38 +244,19 @@ def _edf(f: list[int], j: int, p: int, rng: random.Random) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (quadratic, factor tree)
+# Hensel lifting (quadratic, by splits)
 
 
-class _HenselNode:
-    __slots__ = ("poly", "left", "right", "s", "t")
-
-    def __init__(self, poly, left=None, right=None):
-        self.poly = poly
-        self.left = left
-        self.right = right
-        self.s = None
-        self.t = None
+def _product(fs: list[list[int]], m: int) -> list[int]:
+    """Product over Z/m of the polynomials fs."""
+    out = [1]
+    for f in fs:
+        out = _bmul(out, f, m)
+    return out
 
 
-def _build_tree(factors: list[list[int]], p: int) -> _HenselNode:
-    nodes = [_HenselNode(f) for f in factors]
-    while len(nodes) > 1:
-        nxt = []
-        for i in range(0, len(nodes) - 1, 2):
-            l, r = nodes[i], nodes[i + 1]
-            nxt.append(_HenselNode(_bmul(l.poly, r.poly, p), l, r))
-        if len(nodes) % 2:
-            nxt.append(nodes[-1])
-        nodes = nxt
-    return nodes[0]
-
-
-def _init_bezout(node: _HenselNode, p: int) -> None:
-    if node.left is None:
-        return
-    g, h = node.left.poly, node.right.poly
-    # extended euclid over GF(p): s*g + t*h = 1
+def _bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s*g + t*h = 1 over GF(p), by extended Euclid."""
     r0, r1 = list(g), list(h)
     s0, s1 = [1], []
     t0, t1 = [], [1]
@@ -283,10 +268,7 @@ def _init_bezout(node: _HenselNode, p: int) -> None:
     if len(r0) != 1:
         raise ArithmeticError(f"hensel factors not coprime mod {p}")
     inv = pow(r0[0], p - 2, p)
-    node.s = [v * inv % p for v in s0]
-    node.t = [v * inv % p for v in t0]
-    _init_bezout(node.left, p)
-    _init_bezout(node.right, p)
+    return [v * inv % p for v in s0], [v * inv % p for v in t0]
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -303,41 +285,34 @@ def _hensel_step(f, g, h, s, t, m):
     return g1, h1, s1, t1
 
 
-def _lift_tree(node: _HenselNode, f: list[int], m: int) -> None:
-    """Lift node's children from mod m to mod m^2, given f == node product."""
-    node.poly = f
-    if node.left is None:
-        return
-    g, h = node.left.poly, node.right.poly  # children still hold mod-m values
-    # orientation: right child kept monic (true for products of monic factors)
-    g1, h1, s1, t1 = _hensel_step(f, g, h, node.s, node.t, m)
-    node.s, node.t = s1, t1
-    _lift_tree(node.left, g1, m)
-    _lift_tree(node.right, h1, m)
-
-
 def _hensel_lift(G: IntPoly, factors_p: list[list[int]], p: int, bound: int) -> tuple[list[list[int]], int]:
-    """Lift monic factorization mod p until modulus > 2*bound."""
-    modulus = p
-    root = _build_tree(factors_p, p)
-    _init_bezout(root, p)
-    while modulus <= 2 * bound:
-        _lift_tree(root, _residues(G.coeffs, modulus * modulus), modulus)
-        modulus *= modulus
-    out = []
+    """Lift the monic factorization G == prod(factors_p) mod p until the
+    modulus passes 2*bound; the lifted factors, in order, and the modulus.
 
-    def collect(node):
-        if node.left is None:
-            out.append(node.poly)
-        else:
-            collect(node.left)
-            collect(node.right)
+    r >= 2 factors split in two: g, the product of the first 2^k, 2^k the
+    largest power of two below r, and h, the product of the rest.  The
+    pair is lifted by _hensel_step through p, p^2, p^4, ..., and each part
+    then splits and lifts the same way against its own lifted product.  A
+    coprime monic factorization mod p has exactly one monic lift, so the
+    split order does not change the output.
+    """
+    moduli = [p]
+    while moduli[-1] <= 2 * bound:
+        moduli.append(moduli[-1] ** 2)
 
-    collect(root)
-    check = [1]
-    for f in out:
-        check = _bmul(check, f, modulus)
-    if check != _residues(G.coeffs, modulus):
+    def lift(F: list[int], fs: list[list[int]]) -> list[list[int]]:
+        if len(fs) == 1:
+            return [F]
+        k = 1 << ((len(fs) - 1).bit_length() - 1)
+        g, h = _product(fs[:k], p), _product(fs[k:], p)
+        s, t = _bezout(g, h, p)
+        for m in moduli[:-1]:
+            g, h, s, t = _hensel_step(_residues(F, m * m), g, h, s, t, m)
+        return lift(g, fs[:k]) + lift(h, fs[k:])
+
+    modulus = moduli[-1]
+    out = lift(_residues(G.coeffs, modulus), factors_p)
+    if _product(out, modulus) != _residues(G.coeffs, modulus):
         raise ArithmeticError("hensel lift drifted")
     return out, modulus
 
@@ -411,9 +386,7 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
     while 2 * size <= len(remaining):
         hit = False
         for combo in itertools.combinations(remaining, size):
-            prod = [1]
-            for i in combo:
-                prod = _bmul(prod, lifted[i], modulus)
+            prod = _product([lifted[i] for i in combo], modulus)
             cand = IntPoly(_symmetric(prod, modulus), G.var)
             if cand.constant == 0 or g_rem.constant % cand.constant:
                 continue  # cheap filter: cand(0) must divide g_rem(0)
@@ -493,23 +466,12 @@ def _factor_squarefree_primitive(G: IntPoly) -> list[IntPoly]:
         return []
     if G.is_monic:
         return _factor_squarefree_monic(G)
-    # monicize: H(x) = L^(d-1) G(x/L) is monic with integer coefficients
+    # H = L^(d-1) G(x/L) is monic with integer coefficients, and each
+    # factor h of H maps back to the primitive part of h(L x)
     L = G.lc
-    d = G.degree
-    H = IntPoly(
-        tuple(G.coeff(i) * L ** (d - 1 - i) for i in range(d)) + (1,), G.var
-    )
-    out = []
-    for h in _factor_squarefree_monic(H):
-        # map back: primitive part of h(L x)
-        mapped = IntPoly(
-            tuple(h.coeff(i) * L ** i for i in range(h.degree + 1)), G.var
-        ).primitive_part()
-        out.append(mapped)
-    prod = IntPoly.const(1, G.var)
-    for f in out:
-        prod = prod * f
-    if prod != G:
+    H = root_scale_transform(G, Fraction(L))
+    out = [root_scale_transform(h, Fraction(1, L)) for h in _factor_squarefree_monic(H)]
+    if math.prod(out, start=IntPoly.const(1, G.var)) != G:
         raise ArithmeticError("monicize mapping lost a content factor")
     return out
 

@@ -632,13 +632,15 @@ def gcd_subresultant(A: IntPoly, B: IntPoly) -> IntPoly:
 def gcd_fast(A: IntPoly, B: IntPoly) -> IntPoly:
     """Primitive gcd, modular fast path with exact verification.
 
-    Sound shortcut around gcd_subresultant, used at every size: a prime with
-    gcd of degree zero certifies coprimality outright; otherwise a CRT
-    candidate is accepted only after exact division into both inputs plus a
-    single-prime degree certificate, which together pin the gcd exactly.
-    Reconstruction is incremental and division is only attempted once the
-    candidate stabilizes across a prime.  Falls back to gcd_subresultant if
-    luck runs out.
+    Used at every size: a prime with gcd of degree zero certifies
+    coprimality outright; otherwise a CRT candidate is accepted only after
+    exact division into both inputs plus a single-prime degree certificate,
+    which together pin the gcd exactly.  Reconstruction is incremental and
+    division is only attempted once the candidate stabilizes across a
+    prime.  The loop runs until that certificate holds, which it does: only
+    finitely many primes are unlucky, and once the modulus passes twice the
+    height of the scaled gcd the candidate is the gcd.  Constant or zero
+    inputs go to gcd_subresultant.
     """
     if A.is_zero or B.is_zero or A.degree == 0 or B.degree == 0:
         return gcd_subresultant(A, B)
@@ -646,19 +648,16 @@ def gcd_fast(A: IntPoly, B: IntPoly) -> IntPoly:
     a = A.primitive_part()
     b = B.primitive_part()
     gamma = math.gcd(a.lc, b.lc)
-    budget = 40 if max(a.degree, b.degree) <= 128 else 4000
     best_deg: int | None = None
     acc: list[int] = []
     modulus = 1
     prev_cand: IntPoly | None = None
     idx = 0
-    tried = 0
-    while tried < budget:
+    while True:
         p = _prime_at(idx)
         idx += 1
         if a.lc % p == 0 or b.lc % p == 0:
             continue
-        tried += 1
         g = _gf_gcd(a.coeffs, b.coeffs, p)
         deg = len(g) - 1
         if deg == 0:
@@ -681,7 +680,6 @@ def gcd_fast(A: IntPoly, B: IntPoly) -> IntPoly:
             prev_cand = None  # stable but wrong: need more primes
         else:
             prev_cand = cand
-    return gcd_subresultant(A, B)
 
 
 def squarefree_part(A: IntPoly) -> IntPoly:

@@ -123,18 +123,25 @@ def verify_thm_1_4(n: int, h: int, m: int) -> VerificationReport:
 
     For every irreducible degree-d factor of the b-coordinate polynomial,
     |Norm(b)| must divide (n^r - 1)^d with r = h*m; for the bhat
-    coordinate the exponent is (n-1)*dhat.
+    coordinate the exponent is (n-1)*dhat.  Each distinct coefficient list
+    is factored once: for n = 2 the b and bhat polynomials coincide.
     """
     t0 = time.perf_counter()
     cell = {"n": n, "h": h, "m": m}
     witnesses = []
+    factored = {}
     try:
         for coordinate, scale in (("b", 1), ("bhat", n - 1)):
             param = parabolic_param_poly(n, h, m, coordinate)
             base = n ** (h * m) - 1  # after the cap check: r = h m may be huge
-            for piece, _ in factor(param.poly).factors:
+            coeffs = param.poly.coeffs
+            if coeffs not in factored:
+                factored[coeffs] = factor(param.poly).factors
+            for piece, _ in factored[coeffs]:
                 bound = base ** (scale * piece.degree)
-                witnesses.append(_divisibility_witness(piece, coordinate, bound))
+                witnesses.append(
+                    _divisibility_witness(piece.rename(coordinate), coordinate, bound)
+                )
     except DegreeCapError as exc:
         witnesses.append({"skipped": True, "reason": str(exc)})
     return _finish("thm14", cell, witnesses, t0)
@@ -395,25 +402,14 @@ def sweep_thm_1_4(
                 if r % h:
                     continue
                 m = r // h
-                if _dynatomic_degree(n, h) > degree_cap:
-                    reports.append(
-                        VerificationReport(
-                            claim="thm14",
-                            cell={"n": n, "h": h, "m": m},
-                            witnesses=(
-                                {
-                                    "skipped": True,
-                                    "reason": "dynatomic degree "
-                                    f"{_dynatomic_degree(n, h)} exceeds cap "
-                                    f"{degree_cap}",
-                                },
-                            ),
-                            verdict="incomplete",
-                            elapsed_ms=0,
-                        )
-                    )
-                    continue
-                reports.append(verify_thm_1_4(n, h, m))
+                degree = _dynatomic_degree(n, h)
+                if degree > degree_cap:
+                    reason = f"dynatomic degree {degree} exceeds cap {degree_cap}"
+                    skipped = [{"skipped": True, "reason": reason}]
+                    cell = {"n": n, "h": h, "m": m}
+                    reports.append(_finish("thm14", cell, skipped, time.perf_counter()))
+                else:
+                    reports.append(verify_thm_1_4(n, h, m))
     return reports
 
 

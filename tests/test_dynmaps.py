@@ -396,6 +396,43 @@ def test_multiplier_resultant_orbit_power_structure():
         assert s ** h == q
 
 
+def _multiplier_resultant_sylvester(n, h):
+    """q(c, mu) interpolated at the generic Sylvester degree bound, on a run
+    of points where neither leading coefficient in z vanishes."""
+    from unicrit.polycore import _interpolate, _point_run
+
+    phi = dynatomic(n, h)
+    W = multiplier_poly(n, h)
+    dmu = phi.degree("z")
+    dbound = dmu * W.degree("c") + W.degree("z") * phi.degree("c")
+    start = _point_run(
+        phi.as_univariate_in("z")[-1], W.as_univariate_in("z")[-1], dbound + 1
+    )
+    vals = []
+    for x in range(start, start + dbound + 1):
+        A = BiPoly.from_inner_poly(phi.eval_at("c", x), outer="mu")
+        B = BiPoly.gen("mu", "mu", "z") - BiPoly.from_inner_poly(
+            W.eval_at("c", x), outer="mu"
+        )
+        vals.append(resultant(A, B, eliminate="z"))
+    cols = [
+        _interpolate(start, [v.coeff(j) for v in vals], "c")
+        for j in range(dmu + 1)
+    ]
+    return BiPoly.from_univariate(cols, var="mu", outer="c", inner="mu")
+
+
+def test_multiplier_resultant_at_the_proven_degree():
+    # the degree _parabolic_bounds proves is the true c-degree of q, and q
+    # agrees with the interpolation at the generic Sylvester bound
+    for n, h in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)):
+        dynmaps._multiplier_resultant.cache_clear()
+        q = multiplier_resultant(n, h)
+        dz = dynatomic(n, h).degree("z")
+        assert q.degree("c") == dynmaps._parabolic_bounds(n, h, 1, dz)[0], (n, h)
+        assert q == _multiplier_resultant_sylvester(n, h), (n, h)
+
+
 # ---------------------------------------------------------------------------
 # parabolic parameter polynomials
 

@@ -30,7 +30,9 @@ from unicrit.polycore import (
     _bmul,
     _gf_exactdiv,
     _gf_gcd,
+    _residues,
     _strip,
+    _symmetric,
     cyclotomic,
 )
 
@@ -318,3 +320,69 @@ def test_monic_division_mod_m_identity():
             q, r = _bdivmod_monic(a, b, m)
             assert len(r) < len(b) and all(0 <= v < m for v in q + r)
             assert _badd(_bmul(q, b, m), r, m) == _strip([v % m for v in a])
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting: known integer factors are recovered from their images mod p
+
+
+def _irreducible_quadratic_mod_p(a, b, p):
+    # x^2 + a x + b has no root mod p iff its discriminant is a non-residue
+    disc = (a * a - 4 * b) % p
+    return disc != 0 and pow(disc, (p - 1) // 2, p) == p - 1
+
+
+@pytest.mark.parametrize("p", [5, 10007])
+def test_hensel_lift_recovers_known_factors(p):
+    # r = 2 ... 9 covers every shape of the split up to 9 factors
+    rng = random.Random(p)
+    big = 10 ** 12
+    for r in range(2, 10):
+        images, factors = set(), []
+        while len(factors) < r:
+            if len(factors) % 2:
+                a, b = rng.randrange(p), rng.randrange(p)
+                if not _irreducible_quadratic_mod_p(a, b, p):
+                    continue
+                image = (b, a, 1)
+            else:
+                image = (rng.randrange(p), 1)
+            if image in images:
+                continue  # the images must be coprime mod p
+            images.add(image)
+            low = [c + p * rng.randrange(-big, big) for c in image[:-1]]
+            factors.append(IntPoly(low + [1]))
+        G = IntPoly.const(1)
+        for f in factors:
+            G = G * f
+        bound = factorz._mignotte_bound(G)
+        mods = [_residues(f.coeffs, p) for f in factors]
+        lifted, modulus = factorz._hensel_lift(G, mods, p, bound)
+        assert 2 * bound < modulus <= (2 * bound) ** 2
+        assert [_symmetric(f, modulus) for f in lifted] == [list(f.coeffs) for f in factors]
+
+
+def test_hensel_lift_rejects_factors_not_coprime_mod_p():
+    G = (x - 1) * (x - 6)  # equal mod 5
+    with pytest.raises(ArithmeticError, match="not coprime"):
+        factorz._hensel_lift(G, [[4, 1], [4, 1]], 5, factorz._mignotte_bound(G))
+
+
+def test_factor_nonmonic_lifts_through_the_root_scaling(monkeypatch):
+    # lc 12 and three factors: the monic scaling splits mod every prime, so
+    # the Hensel lift and the map back to the non-monic factors both run
+    a, b, c = 2 * x + 3, 3 * x - 1, 2 * x ** 2 + 5
+    calls = []
+    real = factorz._hensel_lift
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(factorz, "_hensel_lift", spy)
+    fac = factor(a * b * c)
+    assert calls and fac.content == 1
+    assert as_set(fac) == sorted([(a.coeffs, 1), (b.coeffs, 1), (c.coeffs, 1)])
+    fac = factor(-6 * a * b * c ** 2)
+    assert fac.content == -6
+    assert as_set(fac) == sorted([(a.coeffs, 1), (b.coeffs, 1), (c.coeffs, 2)])

@@ -384,6 +384,23 @@ def test_gcd_fast_large_coefficients():
     assert g.primitive_part().divides(got)
 
 
+def test_gcd_fast_certifies_past_forty_primes(monkeypatch):
+    # a 1,200-bit gcd needs about 50 primes of 25 bits: the loop runs on
+    # until its own certificate holds, with no exact fallback
+    rng = random.Random(333)
+    big = 1 << 1200
+    g = IntPoly([1] + [rng.randint(-big, big) for _ in range(19)] + [big])
+    a = g * IntPoly([2, 0, 0, 4, 1])  # Eisenstein at 2
+    b = g * IntPoly([3, 6, 0, 1])  # Eisenstein at 3
+
+    def refuse(*args):
+        raise AssertionError("gcd_fast fell back to gcd_subresultant")
+
+    monkeypatch.setattr(polycore, "gcd_subresultant", refuse)
+    assert gcd_fast(a, b) == g
+    assert gcd_fast(a * 6, b * 4) == g * 2
+
+
 # ---------------------------------------------------------------------------
 # modular kernel against plain list references kept here
 

@@ -74,6 +74,34 @@ def test_thm14_every_witness_has_quotient():
             assert int(w["quotient"]) * abs(int(w["norm"])) == int(w["bound"])
 
 
+def test_thm14_factors_each_distinct_polynomial_once(monkeypatch):
+    # for n = 2 the b and bhat polynomials are the same coefficients; the
+    # witnesses match factoring each coordinate's polynomial on its own
+    from unicrit import verify
+    from unicrit.dynmaps import parabolic_param_poly
+    from unicrit.factorz import factor
+
+    for (n, h, m), expected_calls in (((2, 3, 1), 1), ((2, 1, 3), 1), ((3, 2, 1), 2)):
+        expected = []
+        for coordinate, scale in (("b", 1), ("bhat", n - 1)):
+            poly = parabolic_param_poly(n, h, m, coordinate).poly
+            for piece, _ in factor(poly).factors:
+                bound = (n ** (h * m) - 1) ** (scale * piece.degree)
+                expected.append(verify._divisibility_witness(piece, coordinate, bound))
+        calls = []
+
+        def counting(poly):
+            calls.append(poly)
+            return factor(poly)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "factor", counting)
+            rep = verify_thm_1_4(n, h, m)
+        assert len(calls) == expected_calls, (n, h, m)
+        assert list(rep.witnesses) == expected
+        assert {w["factor"]["var"] for w in expected} == {"b", "bhat"}
+
+
 def test_thm31_misiurewicz_examples():
     rep = verify_thm_3_1(2, 3, 1, 2)
     assert rep.verdict == "pass"
