@@ -2,10 +2,10 @@
 
 A NumberField is Q[x] modulo a monic irreducible rational polynomial;
 elements are rational coordinate vectors in the power basis.  On top of
-that sit the certificates this package actually cares about: minimal
-polynomials, norms and traces, algebraic-integer and unit verdicts, and
-the orbit-level congruences satisfied by multipliers of periodic cycles
-of z^n + c at rational parameters.
+that sit the certificates this package actually cares about (minimal
+polynomials, norms and traces, algebraic-integer and unit verdicts) and
+the periodic orbits of z^n + c at rational parameters as field elements,
+from which verify builds the multiplier congruences and dynamical units.
 
 No integral bases, no ideal arithmetic: integrality is always certified
 through the minimal polynomial, which keeps everything elementary and
@@ -32,13 +32,9 @@ __all__ = [
     "FieldElement",
     "IntegralityCertificate",
     "NumberField",
-    "OrbitCongruences",
     "OrbitInField",
-    "OrbitUnitReport",
     "ParabolicCollisionError",
     "RatPoly",
-    "congruence_certificates",
-    "dynamical_unit_check",
     "is_algebraic_integer",
     "is_unit",
     "minimal_polynomial",
@@ -419,111 +415,6 @@ def periodic_orbit_in_field(n: int, c, h: int) -> list[OrbitInField]:
         multiplier = (prod ** (n - 1)) * Fraction(n) ** h
         orbits.append(OrbitInField(n, c, fld, tuple(points), multiplier))
     return orbits
-
-
-def _phi_pair(x: FieldElement, y: FieldElement, n: int) -> FieldElement:
-    """(x^n - y^n)/(x - y) written as the telescoping sum, so no division."""
-    total = x.field.zero()
-    for a in range(n):
-        total = total + x ** a * y ** (n - 1 - a)
-    return total
-
-
-@dataclass(frozen=True)
-class OrbitUnitReport:
-    """Cyclic difference quotients along one orbit and their unit status."""
-
-    orbit: OrbitInField
-    phi_values: tuple[FieldElement, ...]
-    product_is_one: bool
-    certificates: tuple[IntegralityCertificate, ...]
-
-
-def dynamical_unit_check(n: int, c, h: int) -> list[OrbitUnitReport]:
-    """Check prod_j (z_j^n - z_{j+1}^n)/(z_j - z_{j+1}) = 1 on each orbit.
-
-    The product is verified exactly in-field.  When c is an algebraic
-    integer (here: an integer) each difference quotient also gets a unit
-    certificate.
-    """
-    if h < 2:
-        raise ValueError("the unit identity concerns orbits of period >= 2")
-    c = _frac(c)
-    reports = []
-    for orbit in periodic_orbit_in_field(n, c, h):
-        pts = orbit.points
-        phis = tuple(
-            _phi_pair(pts[j], pts[(j + 1) % h], n) for j in range(h)
-        )
-        prod = orbit.field.one()
-        for v in phis:
-            prod = prod * v
-        certs = ()
-        if c.denominator == 1:
-            certs = tuple(is_algebraic_integer(v) for v in phis)
-        reports.append(
-            OrbitUnitReport(
-                orbit=orbit,
-                phi_values=phis,
-                product_is_one=prod == orbit.field.one(),
-                certificates=certs,
-            )
-        )
-    return reports
-
-
-@dataclass(frozen=True)
-class OrbitCongruences:
-    """Integrality certificates for the multiplier congruences of one orbit.
-
-    scaled_multiplier: mu / n^h, present when the parameter is integral.
-    power_congruence: (mu^n - (-b)^((n-1)h)) / n, always computed.
-    unit_congruence: (n^h - mu)^(n-1) / bhat, present only when mu is a
-    unit; None elsewhere means "not applicable", not failure.
-    """
-
-    orbit: OrbitInField
-    scaled_multiplier: IntegralityCertificate | None
-    power_congruence: IntegralityCertificate
-    unit_congruence: IntegralityCertificate | None
-
-
-def congruence_certificates(n: int, c, h: int) -> list[OrbitCongruences]:
-    """Certify the arithmetic congruences satisfied by cycle multipliers.
-
-    Works at a rational parameter c of z^n + c.  The conjugate parameter
-    b satisfies b^(n-1) = bhat = n^n c^(n-1), which is rational even when
-    b itself is not; both the power congruence and the unit congruence
-    are phrased through bhat so every value stays inside Q(z).  For the
-    unit branch this uses: (n^h - mu)/b is an algebraic integer iff its
-    (n-1)-st power (n^h - mu)^(n-1)/bhat is.
-    """
-    if h < 1:
-        raise ValueError("h must be at least 1")
-    c = _frac(c)
-    bhat = Fraction(n) ** n * c ** (n - 1)
-    sign = -1 if ((n - 1) * h) % 2 else 1
-    out = []
-    for orbit in periodic_orbit_in_field(n, c, h):
-        mu = orbit.multiplier
-        scaled = None
-        if c.denominator == 1:
-            scaled = is_algebraic_integer(mu / Fraction(n) ** h)
-        power_val = (mu ** n - sign * bhat ** h) / n
-        power = is_algebraic_integer(power_val)
-        unit_branch = None
-        if is_unit(mu) and bhat != 0:
-            unit_val = (Fraction(n) ** h - mu) ** (n - 1) / bhat
-            unit_branch = is_algebraic_integer(unit_val)
-        out.append(
-            OrbitCongruences(
-                orbit=orbit,
-                scaled_multiplier=scaled,
-                power_congruence=power,
-                unit_congruence=unit_branch,
-            )
-        )
-    return out
 
 
 def prime_to_n_test(min_poly, n: int) -> bool:

@@ -7,6 +7,10 @@ and quotient involved, and an overall verdict.  A report says "pass"
 only when every exact check in it succeeded; anything partial or
 inapplicable is labeled as such rather than swallowed.
 
+Besides the norm theorems, the orbit claims certify the orbit-level
+congruences satisfied by multipliers of periodic cycles of z^n + c at
+rational parameters, on the orbits numfield holds as field elements.
+
 Reports serialize deterministically: identical inputs give byte-identical
 JSON (timing is zeroed unless explicitly requested).
 """
@@ -14,6 +18,7 @@ JSON (timing is zeroed unless explicitly requested).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +35,14 @@ from .dynmaps import (
 from .dynmaps import _dynatomic_degree, _strip_factors
 from .factorz import _norm_unchecked, factor
 from .numfield import (
+    FieldElement,
     ParabolicCollisionError,
-    congruence_certificates,
-    dynamical_unit_check,
+    is_algebraic_integer,
+    is_unit,
+    periodic_orbit_in_field,
 )
-from .polycore import IntPoly, poly_to_json
+from .numfield import _frac
+from .polycore import IntPoly, euler_phi, poly_to_json
 
 __all__ = [
     "SWEEP_DEGREE_CAP",
@@ -82,17 +90,36 @@ def report_json(report: VerificationReport, timings: bool = False) -> str:
     return json.dumps(report.to_json(timings=timings), sort_keys=True)
 
 
-def _finish(claim, cell, witnesses, t0, verdict=None) -> VerificationReport:
-    """The report; unless given, its verdict is read off the witnesses:
-    incomplete if one was skipped, else fail if one failed, else pass."""
+def _report(claim: str, cell: dict, witnesses) -> VerificationReport:
+    """Time and consume a claim's witnesses (a generator, usually) into its
+    report.  This is the one place the routing exceptions are handled.
+
+    A DegreeCapError keeps the witnesses produced so far and appends a
+    skipped one.  A SpecialCaseError or ParabolicCollisionError means the
+    cell belongs to another pipeline: the witnesses become one note, with
+    verdict not_applicable or parabolic_collision.  Otherwise the verdict
+    is read off the witnesses: incomplete if one was skipped, else fail if
+    one failed, else pass.
+    """
+    t0 = time.perf_counter()
+    done, verdict = [], None
+    try:
+        for w in witnesses:
+            done.append(w)
+    except DegreeCapError as exc:
+        done.append({"skipped": True, "reason": str(exc)})
+    except SpecialCaseError as exc:
+        done, verdict = [{"note": str(exc)}], "not_applicable"
+    except ParabolicCollisionError as exc:
+        done, verdict = [{"note": str(exc)}], "parabolic_collision"
     if verdict is None:
         verdict = (
-            "incomplete" if any(w.get("skipped") for w in witnesses)
-            else "fail" if any(w.get("verdict") == "fail" for w in witnesses)
+            "incomplete" if any(w.get("skipped") for w in done)
+            else "fail" if any(w.get("verdict") == "fail" for w in done)
             else "pass"
         )
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(claim, cell, tuple(witnesses), verdict, elapsed)
+    return VerificationReport(claim, cell, tuple(done), verdict, elapsed)
 
 
 def _divisibility_witness(piece: IntPoly, coordinate: str, bound: int):
@@ -126,11 +153,8 @@ def verify_thm_1_4(n: int, h: int, m: int) -> VerificationReport:
     coordinate the exponent is (n-1)*dhat.  Each distinct coefficient list
     is factored once: for n = 2 the b and bhat polynomials coincide.
     """
-    t0 = time.perf_counter()
-    cell = {"n": n, "h": h, "m": m}
-    witnesses = []
-    factored = {}
-    try:
+    def witnesses():
+        factored = {}
         for coordinate, scale in (("b", 1), ("bhat", n - 1)):
             param = parabolic_param_poly(n, h, m, coordinate)
             base = n ** (h * m) - 1  # after the cap check: r = h m may be huge
@@ -139,12 +163,9 @@ def verify_thm_1_4(n: int, h: int, m: int) -> VerificationReport:
                 factored[coeffs] = factor(param.poly).factors
             for piece, _ in factored[coeffs]:
                 bound = base ** (scale * piece.degree)
-                witnesses.append(
-                    _divisibility_witness(piece.rename(coordinate), coordinate, bound)
-                )
-    except DegreeCapError as exc:
-        witnesses.append({"skipped": True, "reason": str(exc)})
-    return _finish("thm14", cell, witnesses, t0)
+                yield _divisibility_witness(piece.rename(coordinate), coordinate, bound)
+
+    return _report("thm14", {"n": n, "h": h, "m": m}, witnesses())
 
 
 def verify_thm_3_1(
@@ -157,59 +178,33 @@ def verify_thm_3_1(
     dividing n.  t = 0 selects the critically periodic branch instead,
     where every factor must have |Norm(chat)| = 1.
     """
-    t0 = time.perf_counter()
-    cell = {"n": n, "t": t, "h": h, "tau": tau}
-    witnesses = []
-    try:
+    def witnesses():
         if t == 0:
             if tau is not None:
                 raise ValueError("tau does not apply to the periodic branch")
-            try:
-                param = gleason_poly(n, h, "chat")
-            except SpecialCaseError as exc:
-                witnesses.append({"note": str(exc)})
-                return _finish("thm31", cell, witnesses, t0, "not_applicable")
-            for piece, _ in factor(param.poly).factors:
+            for piece, _ in factor(gleason_poly(n, h, "chat").poly).factors:
                 norm = _norm_unchecked(piece) if piece.is_monic else None
-                w = {
+                yield {
                     "coordinate": "chat",
                     "factor": poly_to_json(piece),
                     "degree": piece.degree,
                     "norm": str(norm),
                     "verdict": "pass" if norm in (1, -1) else "fail",
                 }
-                witnesses.append(w)
-        else:
-            if tau is None:
-                raise ValueError("the preperiodic branch requires tau")
-            param = misiurewicz_poly(n, t, h, tau, "chat")
-            for piece, _ in factor(param.poly).factors:
-                if not piece.is_monic:
-                    witnesses.append(
-                        {
-                            "coordinate": "chat",
-                            "factor": poly_to_json(piece),
-                            "degree": piece.degree,
-                            "verdict": "fail",
-                            "note": "factor is not monic",
-                        }
-                    )
-                    continue
-                norm = _norm_unchecked(piece)
-                ok = norm != 0 and n % abs(norm) == 0
-                witnesses.append(
-                    {
-                        "coordinate": "chat",
-                        "factor": poly_to_json(piece),
-                        "degree": piece.degree,
-                        "norm": str(norm),
-                        "divides_n": ok,
-                        "verdict": "pass" if ok else "fail",
-                    }
-                )
-    except DegreeCapError as exc:
-        witnesses.append({"skipped": True, "reason": str(exc)})
-    return _finish("thm31", cell, witnesses, t0)
+            return
+        if tau is None:
+            raise ValueError("the preperiodic branch requires tau")
+        for piece, _ in factor(misiurewicz_poly(n, t, h, tau, "chat").poly).factors:
+            w = {"coordinate": "chat", "factor": poly_to_json(piece), "degree": piece.degree}
+            if not piece.is_monic:
+                yield {**w, "verdict": "fail", "note": "factor is not monic"}
+                continue
+            norm = _norm_unchecked(piece)
+            ok = norm != 0 and n % abs(norm) == 0
+            verdict = "pass" if ok else "fail"
+            yield {**w, "norm": str(norm), "divides_n": ok, "verdict": verdict}
+
+    return _report("thm31", {"n": n, "t": t, "h": h, "tau": tau}, witnesses())
 
 
 def verify_monic_structure(n: int, h: int) -> VerificationReport:
@@ -218,94 +213,110 @@ def verify_monic_structure(n: int, h: int) -> VerificationReport:
     P_h must be monic of degree n^h in w and monic of degree n^(h-1) in b,
     and the same must hold for P_h - N_h*w.
     """
-    t0 = time.perf_counter()
-    cell = {"n": n, "h": h}
-    witnesses = [{"note": SCOPE_NOTE_MONIC}]
-    try:
+    def witnesses():
+        yield {"note": SCOPE_NOTE_MONIC}
         pair = iterate_poly_gb(n, h)
         period = periodicity_poly(n, h)
         for name, poly in (("iterate", pair.poly), ("periodicity", period)):
             lead_w = poly.as_univariate_in("w")[-1]
             lead_b = poly.as_univariate_in("b")[-1]
-            w = {
-                "polynomial": name,
-                "degree_w": poly.degree("w"),
-                "degree_b": poly.degree("b"),
-                "lead_coeff_w": poly_to_json(lead_w),
-                "lead_coeff_b": poly_to_json(lead_b),
-            }
             ok = (
                 poly.degree("w") == n ** h
                 and poly.degree("b") == n ** (h - 1)
                 and lead_w == IntPoly.const(1, "b")
                 and lead_b == IntPoly.const(1, "w")
             )
-            w["verdict"] = "pass" if ok else "fail"
-            witnesses.append(w)
-    except DegreeCapError as exc:
-        witnesses.append({"skipped": True, "reason": str(exc)})
-    return _finish("monic11", cell, witnesses, t0)
+            yield {
+                "polynomial": name,
+                "degree_w": poly.degree("w"),
+                "degree_b": poly.degree("b"),
+                "lead_coeff_w": poly_to_json(lead_w),
+                "lead_coeff_b": poly_to_json(lead_b),
+                "verdict": "pass" if ok else "fail",
+            }
+
+    return _report("monic11", {"n": n, "h": h}, witnesses())
 
 
 def verify_congruences(n: int, parameter, h: int) -> VerificationReport:
-    """Multiplier congruences at a rational parameter, aggregated per orbit.
+    """Multiplier congruences at a rational parameter, per orbit.
 
-    Bundles three certified divisibilities: mu/n^h (witness claim
-    "lemma31", needs an integral parameter), (mu^n - (-b)^((n-1)h))/n
-    (claim "remark22", always computed), and (n^h - mu)/b via its
-    (n-1)-st power (claim "eq4", needs mu to be a unit).  Verdict is
+    Certifies three divisibilities for each orbit of exact period h, with
+    multiplier mu: mu/n^h (witness claim "lemma31", needs an integral
+    parameter), (mu^n - (-b)^((n-1)h))/n (claim "remark22", always
+    computed), and (n^h - mu)/b (claim "eq4", needs mu to be a unit).
+    The conjugate parameter b satisfies b^(n-1) = bhat = n^n c^(n-1),
+    which is rational even when b is not, so both congruences are phrased
+    through bhat and every value stays inside Q(z): (n^h - mu)/b is an
+    algebraic integer iff its (n-1)-st power (n^h - mu)^(n-1)/bhat is.
+    A claim that does not apply is marked so, not failed.  Verdict is
     "pass" iff every applicable certificate is an algebraic integer.
+    A float parameter is refused with TypeError.
     """
-    t0 = time.perf_counter()
-    parameter = Fraction(parameter)
-    cell = {"n": n, "parameter": str(parameter), "h": h}
-    witnesses = []
-    try:
-        bundles = congruence_certificates(n, parameter, h)
-    except ParabolicCollisionError as exc:
-        witnesses.append({"note": str(exc)})
-        return _finish("remark22", cell, witnesses, t0, "parabolic_collision")
-    for bundle in bundles:
-        modulus = bundle.orbit.field.modulus.to_json()
-        for claim, cert in (
-            ("lemma31", bundle.scaled_multiplier),
-            ("remark22", bundle.power_congruence),
-            ("eq4", bundle.unit_congruence),
-        ):
-            w = {"claim": claim, "orbit_modulus": modulus}
-            if cert is None:
-                w["applicable"] = False
-            else:
-                w["applicable"] = True
-                w["certificate"] = cert.to_json(context={"claim": claim})
-                w["verdict"] = "pass" if cert.is_integer else "fail"
-            witnesses.append(w)
-    return _finish("remark22", cell, witnesses, t0)
+    c = _frac(parameter)
+
+    def witnesses():
+        orbits = periodic_orbit_in_field(n, c, h)
+        bhat = Fraction(n) ** n * c ** (n - 1)
+        sign = -1 if ((n - 1) * h) % 2 else 1
+        for orbit in orbits:
+            mu = orbit.multiplier
+            unit = bhat != 0 and is_unit(mu)
+            for claim, value in (
+                ("lemma31", mu / Fraction(n) ** h if c.denominator == 1 else None),
+                ("remark22", (mu ** n - sign * bhat ** h) / n),
+                ("eq4", (Fraction(n) ** h - mu) ** (n - 1) / bhat if unit else None),
+            ):
+                w = {"claim": claim, "orbit_modulus": orbit.field.modulus.to_json()}
+                if value is None:
+                    w["applicable"] = False
+                else:
+                    cert = is_algebraic_integer(value)
+                    w["applicable"] = True
+                    w["certificate"] = cert.to_json(context={"claim": claim})
+                    w["verdict"] = "pass" if cert.is_integer else "fail"
+                yield w
+
+    return _report("remark22", {"n": n, "parameter": str(c), "h": h}, witnesses())
+
+
+def _phi_pair(x: FieldElement, y: FieldElement, n: int) -> FieldElement:
+    """(x^n - y^n)/(x - y) written as the telescoping sum, so no division."""
+    total = x.field.zero()
+    for a in range(n):
+        total = total + x ** a * y ** (n - 1 - a)
+    return total
 
 
 def verify_dynamical_units(n: int, c, h: int) -> VerificationReport:
-    """Exact cyclic product of difference quotients, plus unit certificates."""
-    t0 = time.perf_counter()
-    c = Fraction(c)
-    cell = {"n": n, "parameter": str(c), "h": h}
-    witnesses = []
-    try:
-        reports = dynamical_unit_check(n, c, h)
-    except ParabolicCollisionError as exc:
-        witnesses.append({"note": str(exc)})
-        return _finish("remark23", cell, witnesses, t0, "parabolic_collision")
-    for rep in reports:
-        w = {
-            "orbit_modulus": rep.orbit.field.modulus.to_json(),
-            "product_is_one": rep.product_is_one,
-        }
-        ok = rep.product_is_one
-        if rep.certificates:
-            w["phi_units"] = [cert.is_unit for cert in rep.certificates]
-            ok = ok and all(cert.is_unit for cert in rep.certificates)
-        w["verdict"] = "pass" if ok else "fail"
-        witnesses.append(w)
-    return _finish("remark23", cell, witnesses, t0)
+    """Check prod_j (z_j^n - z_{j+1}^n)/(z_j - z_{j+1}) = 1 on each orbit
+    of exact period h >= 2.
+
+    The product is verified exactly in-field.  When c is an algebraic
+    integer (here: an integer) each difference quotient also gets a unit
+    certificate.  A float parameter is refused with TypeError.
+    """
+    c = _frac(c)
+    if h < 2:
+        raise ValueError("the unit identity concerns orbits of period >= 2")
+
+    def witnesses():
+        for orbit in periodic_orbit_in_field(n, c, h):
+            pts = orbit.points
+            phis = [_phi_pair(pts[j], pts[(j + 1) % h], n) for j in range(h)]
+            one = orbit.field.one()
+            w = {
+                "orbit_modulus": orbit.field.modulus.to_json(),
+                "product_is_one": math.prod(phis, start=one) == one,
+            }
+            ok = w["product_is_one"]
+            if c.denominator == 1:
+                w["phi_units"] = [is_unit(v) for v in phis]
+                ok = ok and all(w["phi_units"])
+            w["verdict"] = "pass" if ok else "fail"
+            yield w
+
+    return _report("remark23", {"n": n, "parameter": str(c), "h": h}, witnesses())
 
 
 def _stratified_parabolic(n: int, h: int, m: int) -> IntPoly:
@@ -343,9 +354,7 @@ def galois_experiment(
     stratum forms one Galois orbit; more factors are reported as evidence,
     never as a refutation verdict.
     """
-    t0 = time.perf_counter()
-    cell = {"n": n, "kind": kind, "h": h, "t": t, "tau": tau, "m": m}
-    try:
+    def witnesses():
         if kind == "gleason":
             poly = gleason_poly(n, h, "chat").poly
         elif kind == "misiurewicz":
@@ -358,33 +367,30 @@ def galois_experiment(
             poly = _stratified_parabolic(n, h, m)
         else:
             raise ValueError(f"unknown experiment kind {kind!r}")
-    except SpecialCaseError as exc:
-        return _finish("galois33", cell, [{"note": str(exc)}], t0, "not_applicable")
-    except DegreeCapError as exc:
-        return _finish("galois33", cell, [{"skipped": True, "reason": str(exc)}], t0)
-    pieces = factor(poly).factors
-    if not pieces:
-        reading = "empty stratum: no parameter lies in this cell"
-    elif len(pieces) == 1:
-        reading = "consistent with single-orbit conjecture"
-    else:
-        reading = "inconsistent with single-orbit conjecture"
-    witnesses = [
-        {
+        pieces = factor(poly).factors
+        if not pieces:
+            reading = "empty stratum: no parameter lies in this cell"
+        elif len(pieces) == 1:
+            reading = "consistent with single-orbit conjecture"
+        else:
+            reading = "inconsistent with single-orbit conjecture"
+        yield {
             "factor_count": len(pieces),
             "degrees": [p.degree for p, _ in pieces],
             "factors": [poly_to_json(p) for p, _ in pieces],
             "reading": reading,
         }
-    ]
-    return _finish("galois33", cell, witnesses, t0)
+
+    cell = {"n": n, "kind": kind, "h": h, "t": t, "tau": tau, "m": m}
+    return _report("galois33", cell, witnesses())
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-# sweep_thm_1_4 reports cells whose dynatomic degree exceeds this as incomplete
+# sweep_thm_1_4 reports cells whose dynatomic degree exceeds this, or whose
+# elimination degree exceeds 4 times this, as incomplete
 SWEEP_DEGREE_CAP = 80
 
 
@@ -393,8 +399,13 @@ def sweep_thm_1_4(
     r_max: int = 6,
     degree_cap: int = SWEEP_DEGREE_CAP,
 ) -> list[VerificationReport]:
-    """All norm-divisibility cells with ray period r = h*m <= r_max; a cell
-    whose dynatomic degree exceeds degree_cap is skipped as incomplete."""
+    """All norm-divisibility cells with ray period r = h*m <= r_max.
+
+    A cell is skipped as incomplete, without being built, when its
+    dynatomic degree nu(h) exceeds degree_cap, or when the degree
+    D = nu(h) h (n-1) phi(m) / n of its elimination, the one that
+    parabolic_param_poly checks, exceeds 4 * degree_cap.
+    """
     reports = []
     for n in ns:
         for r in range(1, r_max + 1):
@@ -403,13 +414,16 @@ def sweep_thm_1_4(
                     continue
                 m = r // h
                 degree = _dynatomic_degree(n, h)
+                D = degree * h * (n - 1) * euler_phi(m) // n
                 if degree > degree_cap:
                     reason = f"dynatomic degree {degree} exceeds cap {degree_cap}"
-                    skipped = [{"skipped": True, "reason": reason}]
-                    cell = {"n": n, "h": h, "m": m}
-                    reports.append(_finish("thm14", cell, skipped, time.perf_counter()))
+                elif D > 4 * degree_cap:
+                    reason = f"elimination degree {D} exceeds 4 * cap = {4 * degree_cap}"
                 else:
                     reports.append(verify_thm_1_4(n, h, m))
+                    continue
+                skipped = [{"skipped": True, "reason": reason}]
+                reports.append(_report("thm14", {"n": n, "h": h, "m": m}, skipped))
     return reports
 
 

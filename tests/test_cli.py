@@ -256,6 +256,17 @@ def test_verify_units_and_congruences_in_a_degree_30_field():
     assert code == 0 and doc["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("claim", ["units", "congruences"])
+def test_verify_capped_orbit_claim_is_an_incomplete_report(claim):
+    # dynatomic degree 8192 > 4096: reported like the other claims' caps
+    code, doc = run_json(["verify", claim, "--n", "2", "--c", "-1", "--h", "13"])
+    assert code == 3
+    assert doc["verdict"] == "incomplete"
+    [witness] = doc["witnesses"]
+    assert witness["skipped"] is True
+    assert witness["reason"].startswith("construction needs")
+
+
 def test_verify_sweep_thm14():
     code, doc = run_json(["verify", "sweep", "thm14", "--ns", "2", "--r-max", "4"])
     assert code == 0

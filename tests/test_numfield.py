@@ -13,8 +13,6 @@ from unicrit.numfield import (
     RatPoly,
     _char_poly,
     _reduce_coords,
-    congruence_certificates,
-    dynamical_unit_check,
     is_algebraic_integer,
     is_unit,
     minimal_polynomial,
@@ -271,82 +269,6 @@ def test_orbits_close_exactly():
                     for z in pts:
                         expected = expected * z ** (n - 1)
                     assert ob.multiplier == expected
-
-
-def test_unit_report_examples():
-    reports = dynamical_unit_check(2, -2, 2)
-    assert len(reports) == 1
-    rep = reports[0]
-    minus_one = rep.orbit.field.from_rational(-1)
-    assert rep.phi_values == (minus_one, minus_one)
-    assert rep.product_is_one
-    assert all(c.is_unit for c in rep.certificates)
-
-    for rep in dynamical_unit_check(2, 0, 2):
-        assert rep.product_is_one
-        assert all(c.is_unit for c in rep.certificates)
-
-    with pytest.raises(ValueError):
-        dynamical_unit_check(2, -1, 1)
-
-
-def test_unit_product_identity_sweep():
-    # the cyclic product of difference quotients is exactly 1 on every
-    # orbit, and at integer c every quotient is certified a unit
-    ran = 0
-    for n in (2, 3):
-        for h in (2, 3, 4):
-            for c in (-2, -1, 0, 1):
-                try:
-                    reports = dynamical_unit_check(n, c, h)
-                except ParabolicCollisionError:
-                    continue
-                assert reports, (n, c, h)
-                for rep in reports:
-                    assert rep.product_is_one, (n, c, h)
-                    assert len(rep.certificates) == h, (n, c, h)
-                    assert all(cert.is_unit for cert in rep.certificates), (n, c, h)
-                ran += 1
-    assert ran == 24
-
-
-def test_congruence_examples():
-    (oc,) = congruence_certificates(2, -2, 2)
-    assert oc.scaled_multiplier.element == oc.orbit.field.from_rational(-1)
-    assert oc.scaled_multiplier.is_integer and oc.scaled_multiplier.is_unit
-    assert oc.power_congruence.element == oc.orbit.field.from_rational(-24)
-    assert oc.power_congruence.is_integer
-    assert oc.unit_congruence is None
-
-    (oc,) = congruence_certificates(2, -1, 1)
-    assert oc.scaled_multiplier.element.coords == fracs(0, 1)
-    assert oc.scaled_multiplier.is_unit
-
-    for oc in congruence_certificates(2, 0, 1):
-        assert oc.scaled_multiplier.is_integer
-        if oc.orbit.multiplier == oc.orbit.field.zero():
-            assert oc.scaled_multiplier.element == oc.orbit.field.zero()
-            assert oc.unit_congruence is None
-
-
-def test_congruence_unit_branch_applicable():
-    # c = -1/4 gives a fixed point with unit multiplier 2z
-    (oc,) = congruence_certificates(2, Fraction(-1, 4), 1)
-    assert oc.scaled_multiplier is None          # parameter not integral
-    assert is_unit(oc.orbit.multiplier)
-    assert oc.unit_congruence is not None
-    assert oc.unit_congruence.is_integer
-    assert oc.unit_congruence.min_poly.coeffs == fracs(-1, 2, 1)
-
-
-def test_multiplier_divisibility_small_parameters():
-    # mu lands in n^h times the algebraic integers at integer parameters
-    for c in (-2, -1):
-        for h in (1, 2, 3, 4):
-            for oc in congruence_certificates(2, c, h):
-                assert oc.scaled_multiplier is not None
-                assert oc.scaled_multiplier.is_integer, (c, h)
-                assert oc.power_congruence.is_integer, (c, h)
 
 
 def test_prime_to_n_examples():

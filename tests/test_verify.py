@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from unicrit import verify
+from unicrit.dynmaps import DegreeCapError, SpecialCaseError
+from unicrit.numfield import ParabolicCollisionError, is_unit, periodic_orbit_in_field
 from unicrit.verify import (
     VerificationReport,
     galois_experiment,
@@ -180,6 +183,170 @@ def test_congruences_parabolic_collision():
     assert rep.witnesses
 
 
+def orbit_congruences(n, c, h):
+    """Each orbit of exact period h with its lemma31, remark22 and eq4
+    witnesses from verify_congruences, which come in orbit order."""
+    rep = verify_congruences(n, c, h)
+    orbits = periodic_orbit_in_field(n, c, h)
+    assert len(rep.witnesses) == 3 * len(orbits)
+    out = []
+    for i, orbit in enumerate(orbits):
+        triple = rep.witnesses[3 * i:3 * i + 3]
+        assert [w["claim"] for w in triple] == ["lemma31", "remark22", "eq4"]
+        assert all(w["orbit_modulus"] == orbit.field.modulus.to_json() for w in triple)
+        out.append((orbit, *triple))
+    return out
+
+
+def minpoly(witness):
+    return witness["certificate"]["element_minpoly"]["coeffs"]
+
+
+def test_congruence_examples():
+    ((orbit, lemma, power, unit),) = orbit_congruences(2, -2, 2)
+    assert minpoly(lemma) == ["1", "1"]          # mu / 4 = -1
+    assert lemma["certificate"]["is_integer"] and lemma["certificate"]["is_unit"]
+    assert minpoly(power) == ["24", "1"]          # (mu^2 - 16) / 2 = -24
+    assert power["certificate"]["is_integer"]
+    assert unit["applicable"] is False
+
+    ((orbit, lemma, _, _),) = orbit_congruences(2, -1, 1)
+    assert orbit.multiplier / 2 == orbit.field.generator()
+    assert minpoly(lemma) == ["-1", "-1", "1"]
+    assert lemma["certificate"]["is_unit"]
+
+    triples = orbit_congruences(2, 0, 1)
+    assert len(triples) == 2
+    for orbit, lemma, _, unit in triples:
+        assert lemma["certificate"]["is_integer"]
+        if orbit.multiplier == orbit.field.zero():
+            assert minpoly(lemma) == ["0", "1"]
+            assert unit["applicable"] is False
+
+
+def test_congruence_unit_branch_applicable():
+    # c = -1/4 gives a fixed point with unit multiplier 2z
+    ((orbit, lemma, _, unit),) = orbit_congruences(2, Fraction(-1, 4), 1)
+    assert lemma["applicable"] is False           # parameter not integral
+    assert is_unit(orbit.multiplier)
+    assert unit["applicable"] is True
+    assert unit["certificate"]["is_integer"]
+    assert minpoly(unit) == ["-1", "2", "1"]
+
+
+def test_multiplier_divisibility_small_parameters():
+    # mu lands in n^h times the algebraic integers at integer parameters
+    for c in (-2, -1):
+        for h in (1, 2, 3, 4):
+            for _, lemma, power, _ in orbit_congruences(2, c, h):
+                assert lemma["applicable"] is True
+                assert lemma["certificate"]["is_integer"], (c, h)
+                assert power["certificate"]["is_integer"], (c, h)
+
+
+def test_unit_report_examples():
+    (orbit,) = periodic_orbit_in_field(2, -2, 2)
+    z0, z1 = orbit.points
+    minus_one = orbit.field.from_rational(-1)
+    assert verify._phi_pair(z0, z1, 2) == verify._phi_pair(z1, z0, 2) == minus_one
+    (w,) = verify_dynamical_units(2, -2, 2).witnesses
+    assert w["product_is_one"] is True
+    assert w["phi_units"] == [True, True]
+
+    for w in verify_dynamical_units(2, 0, 2).witnesses:
+        assert w["product_is_one"] is True
+        assert w["phi_units"] and all(w["phi_units"])
+
+    with pytest.raises(ValueError):
+        verify_dynamical_units(2, -1, 1)
+
+
+def test_unit_product_identity_sweep():
+    # the cyclic product of difference quotients is exactly 1 on every
+    # orbit, and at integer c every quotient is certified a unit
+    ran = 0
+    for n in (2, 3):
+        for h in (2, 3, 4):
+            for c in (-2, -1, 0, 1):
+                rep = verify_dynamical_units(n, c, h)
+                if rep.verdict == "parabolic_collision":
+                    continue
+                assert rep.witnesses, (n, c, h)
+                for w in rep.witnesses:
+                    assert w["product_is_one"] is True, (n, c, h)
+                    assert len(w["phi_units"]) == h, (n, c, h)
+                    assert all(w["phi_units"]), (n, c, h)
+                ran += 1
+    assert ran == 24
+
+
+@pytest.mark.parametrize("claim", [verify_congruences, verify_dynamical_units])
+def test_orbit_claims_refuse_float_parameters(monkeypatch, claim):
+    # a float is refused before any work; int, Fraction and string agree
+    def refuse(*args):
+        raise AssertionError("orbit built for a float parameter")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "periodic_orbit_in_field", refuse)
+        with pytest.raises(TypeError):
+            claim(2, 0.1, 2)
+    docs = {report_json(claim(2, c, 2)) for c in (-2, Fraction(-2), "-2")}
+    assert len(docs) == 1
+    rep = claim(2, -2, 2)
+    assert rep.cell["parameter"] == "-2"
+    assert rep.verdict == "pass"
+
+
+CAP = DegreeCapError(8192, 4096)
+SKIPPED = {"skipped": True, "reason": "construction needs degree 8192, which exceeds the cap 4096"}
+MONIC_NOTE = {"note": verify.SCOPE_NOTE_MONIC}
+
+
+@pytest.mark.parametrize("builder, call, before", [
+    ("parabolic_param_poly", lambda: verify_thm_1_4(2, 1, 3), []),
+    ("misiurewicz_poly", lambda: verify_thm_3_1(2, 1, 2, 2), []),
+    ("gleason_poly", lambda: verify_thm_3_1(2, 0, 3), []),
+    ("iterate_poly_gb", lambda: verify_monic_structure(2, 2), [MONIC_NOTE]),
+    ("periodic_orbit_in_field", lambda: verify_congruences(2, -2, 2), []),
+    ("periodic_orbit_in_field", lambda: verify_dynamical_units(2, -2, 2), []),
+    ("gleason_poly", lambda: galois_experiment(2, "gleason", h=3), []),
+])
+@pytest.mark.parametrize("exc, verdict", [
+    (CAP, "incomplete"),
+    (SpecialCaseError("degenerate"), "not_applicable"),
+    (ParabolicCollisionError("collision"), "parabolic_collision"),
+])
+def test_report_routes_each_exception(monkeypatch, builder, call, before, exc, verdict):
+    # a cap keeps the witnesses produced so far and appends a skipped one;
+    # a routing exception replaces them all with one note
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(verify, builder, raising)
+    rep = call()
+    assert rep.verdict == verdict
+    if exc is CAP:
+        assert list(rep.witnesses) == before + [SKIPPED]
+    else:
+        assert list(rep.witnesses) == [{"note": str(exc)}]
+
+
+def test_report_keeps_the_witnesses_before_a_cap(monkeypatch):
+    real = verify.parabolic_param_poly
+
+    def capped_bhat(n, h, m, coordinate):
+        if coordinate == "bhat":
+            raise CAP
+        return real(n, h, m, coordinate)
+
+    monkeypatch.setattr(verify, "parabolic_param_poly", capped_bhat)
+    rep = verify_thm_1_4(2, 1, 3)
+    assert rep.verdict == "incomplete"
+    *b_witnesses, last = rep.witnesses
+    assert b_witnesses and all(w["coordinate"] == "b" for w in b_witnesses)
+    assert last == SKIPPED
+
+
 def test_dynamical_units_examples():
     for n, c, h in [(2, -2, 2), (2, -1, 3), (2, 0, 2)]:
         rep = verify_dynamical_units(n, c, h)
@@ -256,6 +423,26 @@ def test_sweep_thm14_small():
     assert len(reports) == 8
     assert all(r.verdict == "pass" for r in reports)
     assert sweep_verdict(reports) == "pass"
+
+
+def test_thm14_sweep_skips_cells_past_the_elimination_bound(monkeypatch):
+    # a cell whose elimination degree D = nu(h) h (n-1) phi(m) / n passes
+    # 4 * cap is reported incomplete and never built
+    built = []
+
+    def record(n, h, m):
+        built.append((n, h, m))
+        return VerificationReport("thm14", {"n": n, "h": h, "m": m}, (), "pass", 0)
+
+    monkeypatch.setattr(verify, "verify_thm_1_4", record)
+    reports = sweep_thm_1_4(ns=(2,), r_max=42)
+    by_cell = {(r.cell["n"], r.cell["h"], r.cell["m"]): r for r in reports}
+    for cell, D in (((2, 6, 5), 648), ((2, 6, 7), 972)):
+        assert cell not in built
+        assert by_cell[cell].verdict == "incomplete"
+        reason = f"elimination degree {D} exceeds 4 * cap = 320"
+        assert by_cell[cell].witnesses == ({"skipped": True, "reason": reason},)
+    assert (2, 6, 2) in built
 
 
 def test_sweep_thm31_small():
