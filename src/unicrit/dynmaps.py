@@ -3,11 +3,11 @@
 Everything here is exact integer arithmetic.  Four parameter coordinates
 run through the module: c for the form z^n + c, b for the conjugate form
 (w^n + b)/n, and the power coordinates chat = c^(n-1) and
-bhat = b^(n-1) = n^n * chat, which is where the parameter polynomials
-naturally live.  Each iteration runs once: the (b, w) polynomials are
-the (c, z) ones rescaled under the conjugacy of the two forms (_to_gb),
-and the critical values and Gleason polynomials in c come from the chat
-ones at chat = c^(n-1).
+bhat = b^(n-1) = n^n * chat, complete invariants of each form's
+conjugacy class; coord_transform moves every family to every coordinate.
+Each iteration runs once: the (b, w) polynomials are the (c, z) ones
+rescaled under the conjugacy of the two forms (_to_gb), and the critical
+values in c come from the chat ones at chat = c^(n-1).
 
 Construction functions are pure and deterministic.  Each private builder
 is memoized by functools.lru_cache, bounded at polycore._MEMO_SIZE entries
@@ -397,44 +397,28 @@ def _multiplier_resultant(n: int, h: int) -> BiPoly:
 # coordinate transforms
 
 
-def _to_coordinate(poly: IntPoly, n: int, src: str, dst: str) -> IntPoly:
-    """A polynomial in coordinate dst satisfied by the dst value of every
-    parameter whose src value is a root of poly.
-
-    Up from c or b by (n-1)-st powers of the roots (n > 2; for n = 2 the
-    power coordinates are the plain ones), across between the c and b
-    families by the root scale n^n or n^-n, and down into c or b by
-    x -> x^(n-1), which every (n-1)-st root of a root satisfies.
-    """
-    if src in ("c", "b") and n > 2:
-        poly = squarefree_part(root_power_transform(poly, n - 1))
-    across = (dst in ("b", "bhat")) - (src in ("b", "bhat"))
-    if across:
-        poly = root_scale_transform(poly, Fraction(n ** n) ** across)
-    if dst in ("c", "b"):
-        poly = _stretch(poly, n - 1)
-    return poly.rename(dst).primitive_part()
-
-
 def coord_transform(p: ParamPolynomial, coordinate: str) -> ParamPolynomial:
-    """Rewrite a parameter polynomial in another coordinate, by
-    _to_coordinate.
+    """Rewrite a parameter polynomial in another coordinate.
 
-    For n = 2 the power coordinates coincide with the plain ones and every
-    direction works (c <-> b is the rational scaling by 4).  For n >= 3 a
-    polynomial in c or b would be satisfied by every (n-1)-st root of a
-    root, not by the parameters alone (and c <-> b itself would need the
-    irrational scale n^(n/(n-1))), so requests for c or b are rejected.
+    chat = c^(n-1) and bhat = b^(n-1) are complete conjugacy invariants, so
+    every move is up from c or b by (n-1)-st powers of the roots (n > 2; for
+    n = 2 the power coordinates are the plain ones), across between the c
+    and b families by the root scale n^n or n^-n, and down into c or b by
+    x -> x^(n-1).  A family's c-locus is the set of (n-1)-st roots of its
+    chat-locus, so its polynomial comes back unchanged from every coordinate.
     """
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
-    if coordinate == p.coordinate:
+    n, src, poly = p.n, p.coordinate, p.poly
+    if coordinate == src:
         return p
-    if p.n > 2 and coordinate in ("c", "b"):
-        raise ValueError(
-            f"no transform path from {p.coordinate!r} to {coordinate!r} for n = {p.n}"
-        )
-    poly = _to_coordinate(p.poly, p.n, p.coordinate, coordinate)
-    return ParamPolynomial(poly, coordinate, p.n, p.provenance)
+    if src in ("c", "b") and n > 2:
+        poly = squarefree_part(root_power_transform(poly, n - 1))
+    across = (coordinate in ("b", "bhat")) - (src in ("b", "bhat"))
+    if across:
+        poly = root_scale_transform(poly, Fraction(n ** n) ** across)
+    if coordinate in ("c", "b"):
+        poly = _stretch(poly, n - 1)
+    return ParamPolynomial(poly.rename(coordinate).primitive_part(), coordinate, n, p.provenance)
 
 
 def _stretch(p: IntPoly, k: int) -> IntPoly:
@@ -477,26 +461,26 @@ def gleason_poly(
 
     In coordinate chat: the critical orbit polynomial P_h with every factor
     shared with a lower P_{h'}, h' | h, removed by exact division; h >= 2,
-    as for h = 1 the locus is the point c = 0.  In coordinate c: c for h = 1,
-    else the chat polynomial at chat = c^(n-1), which is f^h(0) stripped
-    the same way, as x -> x^(n-1) commutes with gcds and exact divisions.
+    as for h = 1 the locus is the point c = 0, a polynomial in c only.
+    Every other coordinate is the chat polynomial moved by coord_transform;
+    in c it is f^h(0) stripped the same way, as x -> x^(n-1) commutes with
+    gcds and exact divisions.
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
     prov = {"kind": "gleason", "h": h}
-    if coordinate == "c":
-        _check_cap(degree_cap, n, h - 1)
-        poly = IntPoly.gen("c") if h == 1 else _to_coordinate(_gleason(n, h), n, "chat", "c")
-        return ParamPolynomial(poly, "c", n, prov)
-    if h == 1:
+    if h == 1 and coordinate != "c":
         raise SpecialCaseError(
             "period 1 for the critical point means c = 0, a single point with "
             "no polynomial in the power coordinates; use coordinate 'c'"
         )
-    _check_cap(degree_cap, n, h - 1, geometric=True)
-    base = ParamPolynomial(_gleason(n, h), "chat", n, prov)
-    return base if coordinate == "chat" else coord_transform(base, coordinate)
+    # f^h(0) has degree n^(h-1) in c; b comes down from bhat by x -> x^(n-1)
+    _check_cap(degree_cap, n, h - 1, geometric=coordinate != "c",
+               scale=n - 1 if coordinate == "b" else 1)
+    if h == 1:
+        return ParamPolynomial(IntPoly.gen("c"), "c", n, prov)
+    return coord_transform(ParamPolynomial(_gleason(n, h), "chat", n, prov), coordinate)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -539,27 +523,34 @@ def misiurewicz_poly(
     chat.  For n prime and tau = n this is the sum P_{t+h}^(n-1) + ... +
     P_t^(n-1), monic with constant term n.  Factors shared with any lower
     cell (t' <= t, h' | h) are removed by iterated exact gcd division and
-    the result is made squarefree.
+    the result is made squarefree.  Every other coordinate is this chat
+    polynomial moved by coord_transform.
     """
     _validate_n(n)
     _require(t >= 1, "transient time t must be >= 1")
     _require(h >= 1, "eventual period h must be >= 1")
     _require(tau > 1 and n % tau == 0, "tau must be a divisor of n with tau > 1")
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
-    phi = _capped_phi(tau, degree_cap)
-    _check_cap(degree_cap, n, t + h - 1, geometric=True, scale=phi)
+    # c and b come down from chat and bhat by x -> x^(n-1)
+    scale = _capped_phi(tau, degree_cap) * (n - 1 if coordinate in ("c", "b") else 1)
+    _check_cap(degree_cap, n, t + h - 1, geometric=True, scale=scale)
     pp = ParamPolynomial(
         _misiurewicz(n, t, h, tau),
         "chat",
         n,
         {"kind": "misiurewicz", "t": t, "h": h, "tau": tau},
     )
-    return pp if coordinate == "chat" else coord_transform(pp, coordinate)
+    return coord_transform(pp, coordinate)
 
 
 # fractional bits of the fixed-point upper bound on rho(2^e) in
 # _parabolic_bounds
 _RHO_BITS = 32
+
+
+def _elimination_degree(n: int, h: int, phi: int, dz: int) -> int:
+    # D = dz h (n-1) phi(m) / n, the degree _parabolic_bounds proves
+    return dz * h * (n - 1) * phi // n
 
 
 def _parabolic_bounds(n: int, h: int, m: int, dz: int) -> tuple[int, int]:
@@ -579,8 +570,9 @@ def _parabolic_bounds(n: int, h: int, m: int, dz: int) -> tuple[int, int]:
     2^-_RHO_BITS and M's numerator taken to its power exactly, so each
     step rounds up.
     """
-    b, exp = h * (n - 1), euler_phi(m) * dz
-    degree = exp * b // n
+    phi = euler_phi(m)
+    b, exp = h * (n - 1), phi * dz
+    degree = _elimination_degree(n, h, phi, dz)
     F = _RHO_BITS
     logs = []
     for e in range(2 * (degree * b).bit_length() + 9):
@@ -628,26 +620,22 @@ def parabolic_param_poly(
     Squarefree and primitive, but not irreducible in general: the
     (mu - mu0)^h orbit structure and orbit merges at bifurcation parameters
     can contribute extra factors (for m = 1, the cells (h', m') with
-    h' m' = h merge in).  Callers pick factors.
+    h' m' = h merge in).  Callers pick factors.  Every other coordinate is
+    this c polynomial moved by coord_transform.
 
-    The associated ray period is r = h * m.  Coordinate b is produced as a
-    polynomial satisfied by b via bhat = b^(n-1).
+    The associated ray period is r = h * m.
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
     _require(m >= 1, "root-of-unity order m must be >= 1")
     _require(coordinate in COORDINATES, f"unknown coordinate {coordinate!r}")
     _check_iterate_cap(n, h, degree_cap)
-    # the degree D that _parabolic_bounds proves for the elimination
-    phi = _capped_phi(m, degree_cap)
-    _check_cap(degree_cap, _dynatomic_degree(n, h) * h * (n - 1) * phi // n)
+    _check_cap(degree_cap, _elimination_degree(
+        n, h, _capped_phi(m, degree_cap), _dynatomic_degree(n, h)))
     native = ParamPolynomial(
         _parabolic(n, h, m), "c", n, {"kind": "parabolic", "h": h, "m": m}
     )
-    if coordinate == "c":
-        return native
-    poly = _to_coordinate(native.poly, n, "c", coordinate)
-    return ParamPolynomial(poly, coordinate, n, native.provenance)
+    return coord_transform(native, coordinate)
 
 
 def fixed_point_parabolic(n: int, m: int) -> ParamPolynomial:

@@ -37,7 +37,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .dynmaps import ParamPolynomial
+from .dynmaps import ParamPolynomial, coord_transform
 from .factorz import factor
 from .polycore import IntPoly, poly_to_json
 
@@ -571,12 +571,7 @@ class LandingReport:
 
 def _candidate_poly(candidate) -> IntPoly:
     if isinstance(candidate, ParamPolynomial):
-        if candidate.coordinate != "c":
-            raise ValueError(
-                f"candidate is in coordinate {candidate.coordinate!r}; "
-                "transform to 'c' before matching"
-            )
-        return candidate.poly
+        return coord_transform(candidate, "c").poly
     if isinstance(candidate, IntPoly):
         return candidate
     raise TypeError(f"cannot use {type(candidate).__name__} as a ray candidate")
@@ -592,7 +587,9 @@ def land_and_match(
     margin_min: float = 10.0,
 ) -> LandingReport:
     """Trace the ray, extrapolate its landing point, and identify which
-    irreducible factor of which candidate polynomial it lands on.
+    irreducible factor of which candidate polynomial it lands on.  A
+    candidate is an IntPoly in c or a ParamPolynomial in any coordinate,
+    moved to c by coord_transform.
 
     The match is accepted when the nearest candidate root is within
     `tolerance` and the second-nearest is at least `margin_min` times

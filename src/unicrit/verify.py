@@ -32,7 +32,7 @@ from .dynmaps import (
     parabolic_param_poly,
     periodicity_poly,
 )
-from .dynmaps import _dynatomic_degree, _strip_factors
+from .dynmaps import _dynatomic_degree, _elimination_degree, _strip_factors
 from .factorz import _norm_unchecked, factor
 from .numfield import (
     FieldElement,
@@ -403,8 +403,8 @@ def sweep_thm_1_4(
 
     A cell is skipped as incomplete, without being built, when its
     dynatomic degree nu(h) exceeds degree_cap, or when the degree
-    D = nu(h) h (n-1) phi(m) / n of its elimination, the one that
-    parabolic_param_poly checks, exceeds 4 * degree_cap.
+    D = nu(h) h (n-1) phi(m) / n of its elimination (_elimination_degree,
+    as parabolic_param_poly checks it) exceeds 4 * degree_cap.
     """
     reports = []
     for n in ns:
@@ -414,7 +414,7 @@ def sweep_thm_1_4(
                     continue
                 m = r // h
                 degree = _dynatomic_degree(n, h)
-                D = degree * h * (n - 1) * euler_phi(m) // n
+                D = _elimination_degree(n, h, euler_phi(m), degree)
                 if degree > degree_cap:
                     reason = f"dynatomic degree {degree} exceeds cap {degree_cap}"
                 elif D > 4 * degree_cap:

@@ -72,12 +72,34 @@ def test_poly_parabolic_b_coordinate():
     assert doc["coeffs"] == ["5", "1"]
 
 
-def test_poly_gleason_b_coordinate_unreachable_for_n3():
-    # for n >= 3, b is reached only from bhat, never from the chat a
-    # Gleason polynomial lives in (README "Coordinates")
+def test_poly_gleason_b_coordinate_for_n3():
+    # chat + 1 goes across to bhat + 27 and down to b^2 + 27 (README
+    # "Coordinates")
     code, doc = run_json(["poly", "gleason", "--n", "3", "--h", "2", "--coord", "b"])
-    assert (code, doc["error"]["kind"]) == (2, "usage")
-    assert "no transform path" in doc["error"]["detail"]
+    assert code == 0
+    assert (doc["coordinate"], doc["coeffs"]) == ("b", ["27", "0", "1"])
+
+
+@pytest.mark.parametrize("args, cap, degree", [
+    ("poly gleason --n 3 --h 3 --coord b", 8, 8),
+    # phi(3) (3^2 - 1)/2 (n - 1) = 16 bounds a degree-12 polynomial
+    ("poly misiurewicz --n 3 --t 1 --h 2 --tau 3 --coord c", 16, 12),
+])
+def test_poly_cap_counts_the_move_down(args, cap, degree):
+    # c and b are n - 1 times the degree of chat and bhat
+    code, doc = run_json(args.split() + ["--degree-cap", str(cap)])
+    assert (code, doc["degree"]) == (0, degree)
+    code, doc = run_json(args.split() + ["--degree-cap", str(cap - 1)])
+    assert (code, doc["error"]["detail"]) == (
+        3, f"construction needs degree {cap}, which exceeds the cap {cap - 1}")
+
+
+def test_poly_misiurewicz_c_coordinate_refused_at_its_own_degree():
+    # degree 2,186 in chat fits the default cap; 4,372 in c does not
+    code, doc = run_json(["poly", "misiurewicz", "--n", "3", "--t", "5", "--h", "3",
+                          "--tau", "3", "--coord", "c"])
+    assert (code, doc["error"]["detail"]) == (
+        3, "construction needs degree 4372, which exceeds the cap 4096")
 
 
 def test_poly_iterate_gb():
@@ -160,6 +182,14 @@ def test_poly_transform_stdin():
     assert code == 0
     assert doc["coordinate"] == "b"
     assert doc["coeffs"] == ["4", "1"]  # root -1 in c scales to -4 in b
+
+
+def test_poly_transform_chat_to_c_for_n3():
+    _, chat_doc = run(["poly", "misiurewicz", "--n", "3", "--t", "1", "--h", "1", "--tau", "3"])
+    code, doc = run_json(["poly", "transform", "--coord", "c"], stdin=chat_doc)
+    assert code == 0
+    # chat^2 + 3 chat + 3 at chat = c^2
+    assert (doc["coordinate"], doc["coeffs"]) == ("c", ["3", "0", "3", "0", "1"])
 
 
 def test_poly_transform_rejects_garbage():
@@ -328,6 +358,20 @@ def test_ray_land_parabolic_cubic():
     assert doc["status"] == "matched"
     assert doc["matched_factor"]["coeffs"] == ["135", "108", "144", "64"]
     assert float(doc["match_distance"]) < 1e-6
+
+
+@pytest.mark.parametrize("n, angle, cand, factor, root", [
+    ("3", "1/3", "misiurewicz:1,1,3", ["3", "0", "3", "0", "1"], 1),
+    ("4", "1/4", "misiurewicz:1,1,4", ["2", "0", "0", "2", "0", "0", "1"], 3),
+    ("3", "1/12", "misiurewicz:1,2,3",
+     ["1", "0", "0", "0", "3", "0", "2", "0", "3", "0", "3", "0", "1"], 9),
+])
+def test_ray_land_misiurewicz_candidates_above_n2(n, angle, cand, factor, root):
+    # the chat candidate comes down to c by x -> x^(n-1)
+    code, doc = run_json(["ray", "land", "--n", n, "--angle", angle, "--candidates", cand])
+    assert (code, doc["status"], doc["candidate_index"]) == (0, "matched", 0)
+    assert (doc["matched_factor"]["coeffs"], doc["root_index"]) == (factor, root)
+    assert float(doc["match_distance"]) < 1e-9
 
 
 def test_ray_land_miss_is_exit_1():

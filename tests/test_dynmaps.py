@@ -653,15 +653,16 @@ def test_coord_transform_quadratic_roundtrip():
     assert back.poly == pp.poly
 
 
-def test_coord_transform_rejects_missing_paths():
+def test_coord_transform_moves_down_into_c_and_b():
+    # chat = -1 comes down to c^2 = -1, and across to bhat = -27, b^2 = -27
     pp = ParamPolynomial(IntPoly((1, 1), "chat"), "chat", 3, {"kind": "other"})
-    with pytest.raises(ValueError):
-        coord_transform(pp, "c")
-    with pytest.raises(ValueError):
-        coord_transform(pp, "b")
+    assert coord_transform(pp, "c").poly == IntPoly((1, 0, 1), "c")
+    assert coord_transform(pp, "b").poly == IntPoly((27, 0, 1), "b")
+    # c = -1 goes up to chat = 1, across to bhat = 27 and down to b^2 = 27
     pc = ParamPolynomial(IntPoly((1, 1), "c"), "c", 3, {"kind": "other"})
-    with pytest.raises(ValueError):
-        coord_transform(pc, "b")
+    assert coord_transform(pc, "b").poly == IntPoly((-27, 0, 1), "b")
+    # the rotations of c = -1 come back with it
+    assert coord_transform(coord_transform(pc, "b"), "c").poly == IntPoly((-1, 0, 1), "c")
 
 
 def test_coord_transform_composed_path_consistent():
@@ -673,7 +674,8 @@ def test_coord_transform_composed_path_consistent():
 
 # the directed step table coord_transform walked for n >= 3 before one rule
 # (up, across, down) replaced it, and its n = 2 scaling branch: the reference
-# every (src, dst) pair is checked against
+# every (src, dst) pair is checked against; c and b are reached from chat
+# and bhat by _down
 _REFERENCE_STEPS = {
     ("c", "chat"): ("power",),
     ("c", "bhat"): ("power", "scale_up"),
@@ -684,7 +686,18 @@ _REFERENCE_STEPS = {
 }
 
 
+def _down(p, n, var):
+    # p at x = var^(n-1)
+    return IntPoly([p.coeff(i // (n - 1)) if i % (n - 1) == 0 else 0
+                    for i in range(p.degree * (n - 1) + 1)], var)
+
+
 def _reference_transform(poly, n, src, dst):
+    if n > 2 and dst in ("c", "b"):
+        hat = dst + "hat"
+        if src != hat:
+            poly = _reference_transform(poly, n, src, hat)
+        return _down(poly, n, dst).primitive_part()
     if n == 2:
         grp_src = 0 if src in ("c", "chat") else 1
         grp_dst = 0 if dst in ("c", "chat") else 1
@@ -711,9 +724,6 @@ def test_coord_transform_matches_the_step_table(n):
             for dst in dynmaps.COORDINATES:
                 if dst == src:
                     assert coord_transform(p, dst) is p
-                elif n > 2 and dst in ("c", "b"):
-                    with pytest.raises(ValueError, match="no transform path"):
-                        coord_transform(p, dst)
                 else:
                     want = _reference_transform(p.poly, n, src, dst)
                     assert coord_transform(p, dst).poly == want, (src, dst)
@@ -721,14 +731,37 @@ def test_coord_transform_matches_the_step_table(n):
 
 def test_parabolic_b_and_gleason_c_go_down_by_x_to_the_n_minus_1():
     # b: the bhat polynomial at bhat = b^(n-1); c: the chat one at c^(n-1)
-    def down(p, n, var):
-        return IntPoly([p.coeff(i // (n - 1)) if i % (n - 1) == 0 else 0
-                        for i in range(p.degree * (n - 1) + 1)], var)
-
     for n in (2, 3, 4):
-        assert parabolic_param_poly(n, 1, 2, "b").poly == down(
+        assert parabolic_param_poly(n, 1, 2, "b").poly == _down(
             parabolic_param_poly(n, 1, 2, "bhat").poly, n, "b")
-        assert gleason_poly(n, 3, "c").poly == down(gleason_poly(n, 3, "chat").poly, n, "c")
+        assert gleason_poly(n, 3, "c").poly == _down(gleason_poly(n, 3, "chat").poly, n, "c")
+        assert gleason_poly(n, 3, "b").poly == _down(gleason_poly(n, 3, "bhat").poly, n, "b")
+        assert misiurewicz_poly(n, 1, 1, n, "c").poly == _down(
+            misiurewicz_poly(n, 1, 1, n).poly, n, "c")
+
+
+def _family_cells():
+    for n in (3, 4, 5):
+        for h in (2, 3):
+            yield pytest.param(gleason_poly, (n, h, "chat"), id=f"gleason-{n},{h}")
+        for tau in (tau for tau in range(2, n + 1) if n % tau == 0):
+            for t in (1, 2):
+                for h in (1, 2):
+                    yield pytest.param(misiurewicz_poly, (n, t, h, tau),
+                                       id=f"misiurewicz-{n},{t},{h},{tau}")
+        for h, m in ((1, 1), (1, 2), (1, 3), (2, 1)):
+            yield pytest.param(parabolic_param_poly, (n, h, m), id=f"parabolic-{n},{h},{m}")
+
+
+@pytest.mark.parametrize("build, args", _family_cells())
+def test_family_polynomials_round_trip_through_every_coordinate(build, args):
+    # each family's locus is closed under c -> w c, w^(n-1) = 1, so its
+    # polynomial comes back unchanged from every coordinate
+    p = build(*args)
+    for coordinate in dynmaps.COORDINATES:
+        there = coord_transform(p, coordinate)
+        assert there.coordinate == coordinate
+        assert coord_transform(there, p.coordinate).poly == p.poly, coordinate
 
 
 # ---------------------------------------------------------------------------

@@ -632,8 +632,10 @@ def test_landing_empty_candidate_pool():
 
 
 def test_candidate_coordinate_guard():
-    with pytest.raises(ValueError, match="transform"):
-        _candidate_poly(parabolic_param_poly(2, 1, 2, "b"))
+    # a candidate in b or chat is moved to c, not refused
+    assert _candidate_poly(parabolic_param_poly(2, 1, 2, "b")) == parabolic_param_poly(
+        2, 1, 2, "c").poly
+    assert _candidate_poly(misiurewicz_poly(3, 1, 1, 3)) == IntPoly((3, 0, 3, 0, 1), "c")
     with pytest.raises(TypeError):
         _candidate_poly(3.14)
     raw = IntPoly((2, 1), "c")
