@@ -1,6 +1,7 @@
 """Exact factorization of integer polynomials.
 
-Zassenhaus with the usual refinements: Yun squarefree decomposition, prime
+Zassenhaus with the usual refinements: Yun squarefree decomposition, a
+Newton-polygon irreducibility proof before any prime is chosen, prime
 selection over several candidates, a Berlekamp factor-count fast path that
 proves irreducibility outright when some prime sees a single factor,
 distinct/equal-degree factorization over GF(p), quadratic Hensel lifting
@@ -12,11 +13,12 @@ factored through its monic root scaling.  Output order is deterministic:
 Coefficient-list arithmetic over GF(p) and Z/m (products, division, gcd,
 symmetric lift) comes from polycore's modular kernel.  Arithmetic in
 GF(p)[x]/(f) goes through one ring, _Ring, built once per (f, p): numpy
-int64 convolution plus a precomputed reduction matrix, at every degree.
+int64 convolution plus a precomputed reduction table, at every degree.
 Each candidate prime's Frobenius matrix Q (rows x^(ip) mod f) is built
-once; its nullity is Berlekamp's factor count, and the best prime's Q then
-drives distinct-degree factorization as the linear map h -> h^p.  Hensel
-products use Kronecker substitution.
+once, each row the last one times x^p; its nullity is Berlekamp's factor
+count, and the best prime's Q then drives distinct-degree factorization as
+the linear map h -> h^p.  A Hensel step takes its corrections over Z/m,
+not Z/m^2; its products use Kronecker substitution.
 
 Everything is exact; the final factorization is re-multiplied and compared
 against the input before it is returned, and a failed check raises
@@ -95,21 +97,22 @@ class Factorization:
 class _Ring:
     """GF(p)[x]/(f) for monic f of degree d >= 2.
 
-    Built once per (f, p).  An element is an int64 vector of length d, and
-    a product is one numpy convolution whose top d - 1 coefficients are
-    folded back by the precomputed rows x^d .. x^(2d-2) mod f.  Every int64
-    sum has at most d terms below p^2, so p^2 * d < 2^63 keeps it exact.
+    Built once per (f, p).  An element is an int64 vector of length d.  The
+    fold table holds the rows x^d .. x^(d+k-1) mod f, k = max(d - 1, p).  A
+    product is one numpy convolution whose top d - 1 coefficients are
+    folded back by the first d - 1 rows.  A fold sums at most max(d, p)
+    terms below p^2, so p^2 * max(d, p) < 2^63 keeps it exact.
     """
 
     def __init__(self, f: list[int], p: int):
         d = len(f) - 1
-        if p * p * d >= 1 << 63:
+        if p * p * max(d, p) >= 1 << 63:
             raise OverflowError(f"GF({p}) products of degree {d} overflow int64")
         self.f, self.p, self.d = f, p, d
         # row k is x^(d+k) mod f: x times row k-1, its x^d term folded back
-        red = np.empty((d - 1, d), dtype=np.int64)
+        red = np.empty((max(d - 1, p), d), dtype=np.int64)
         red[0] = [-c % p for c in f[:d]]
-        for k in range(1, d - 1):
+        for k in range(1, len(red)):
             red[k, 0] = 0
             red[k, 1:] = red[k - 1, :-1]
             red[k] = (red[k] + red[k - 1, -1] * red[0]) % p
@@ -123,10 +126,7 @@ class _Ring:
 
     def _mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         c = np.convolve(u, v) % self.p
-        return (c[: self.d] + c[self.d :] @ self.red) % self.p
-
-    def _pow(self, a: list[int], e: int) -> np.ndarray:
-        return _power(self._vec(a), e, self._vec([1]), self._mul)
+        return (c[: self.d] + c[self.d :] @ self.red[: self.d - 1]) % self.p
 
     def mul(self, a: list[int], b: list[int]) -> list[int]:
         """a * b mod f."""
@@ -134,16 +134,19 @@ class _Ring:
 
     def pow(self, a: list[int], e: int) -> list[int]:
         """a^e mod f."""
-        return _strip(self._pow(a, e).tolist())
+        return _strip(_power(self._vec(a), e, self._vec([1]), self._mul).tolist())
 
     def frobenius(self) -> np.ndarray:
-        """Berlekamp's Q: row i is x^(ip) mod f, so h^p = h @ Q for any h."""
-        q = np.zeros((self.d, self.d), dtype=np.int64)
+        """Berlekamp's Q: row i is x^(ip) mod f, so h^p = h @ Q for any h.
+        Row i is row i - 1 times x^p: shifted by p places, its top p
+        coefficients folded back by the first p rows of the table."""
+        d, p = self.d, self.p
+        q = np.zeros((d, d), dtype=np.int64)
         q[0, 0] = 1
-        xp = cur = self._pow([0, 1], self.p)
-        for i in range(1, self.d):
-            q[i, : len(cur)] = cur
-            cur = self._mul(cur, xp)
+        shifted = np.zeros(d + p, dtype=np.int64)
+        for i in range(1, d):
+            shifted[p:] = q[i - 1]
+            q[i] = (shifted[:d] + shifted[d:] @ self.red[:p]) % p
         return q
 
 
@@ -159,9 +162,7 @@ def _berlekamp_factor_count(q: np.ndarray, p: int) -> int:
     # rank over GF(p) by vectorized elimination.  Only the pivot column and
     # row are reduced mod p: any other entry takes at most d updates, each
     # below p^2, and p^2 * d < 2^63 (checked by _Ring) keeps it exact
-    rank = 0
-    col = 0
-    r = 0
+    r = col = 0  # r is the rank so far
     while r < d and col < d:
         m[r:, col] %= p
         pivots = np.nonzero(m[r:, col])[0]
@@ -178,10 +179,9 @@ def _berlekamp_factor_count(q: np.ndarray, p: int) -> int:
         rows = r + 1 + np.nonzero(m[r + 1 :, col])[0]
         if rows.size:
             m[rows, col:] -= np.outer(m[rows, col], m[r, col:])
-        rank += 1
         r += 1
         col += 1
-    return d - rank
+    return d - r
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +272,32 @@ def _bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _hensel_step(f, g, h, s, t, m):
-    """One quadratic step: inputs valid mod m, outputs valid mod m^2."""
+    """One quadratic step: inputs valid mod m, outputs valid mod m^2.
+
+    The errors e = f - g h and b = s g1 + t h1 - 1 are 0 mod m, so each is
+    divided by m, the divisions and products they drive run over Z/m, and
+    the corrections are scaled back by m (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 15.4).  Only g h, s g1 and t h1 run over Z/m^2.
+    """
     m2 = m * m
-    e = _bsub(f, _bmul(g, h, m2), m2)
-    q, r = _bdivmod_monic(_bmul(s, e, m2), h, m2)
-    g1 = _badd(_badd(g, _bmul(t, e, m2), m2), _bmul(q, g, m2), m2)
-    h1 = _badd(h, r, m2)
-    b = _bsub(_badd(_bmul(s, g1, m2), _bmul(t, h1, m2), m2), [1], m2)
-    c, d = _bdivmod_monic(_bmul(s, b, m2), h1, m2)
-    s1 = _bsub(s, d, m2)
-    t1 = _bsub(_bsub(t, _bmul(t, b, m2), m2), _bmul(c, g1, m2), m2)
+
+    def over_m(a):  # a == 0 mod m, as a / m over Z/m
+        if any(v % m for v in a):
+            raise ArithmeticError(f"hensel step inputs are not valid mod {m}")
+        return [v // m for v in a]
+
+    def times_m(a):  # a over Z/m, as m * a over Z/m^2
+        return [v * m for v in a]
+
+    e = over_m(_bsub(f, _bmul(g, h, m2), m2))
+    q, r = _bdivmod_monic(_bmul(s, e, m), h, m)
+    g1 = _badd(g, times_m(_badd(_bmul(t, e, m), _bmul(q, g, m), m)), m2)
+    h1 = _badd(h, times_m(r), m2)
+    b = over_m(_bsub(_badd(_bmul(s, g1, m2), _bmul(t, h1, m2), m2), [1], m2))
+    # h1 == h and g1 == g mod m
+    c, d = _bdivmod_monic(_bmul(s, b, m), h, m)
+    s1 = _bsub(s, times_m(d), m2)
+    t1 = _bsub(t, times_m(_badd(_bmul(t, b, m), _bmul(c, g, m), m)), m2)
     return g1, h1, s1, t1
 
 
@@ -340,23 +356,40 @@ def _candidate_primes(G: IntPoly) -> list[int]:
     gp = G.derivative()
     while len(out) < _CANDIDATE_PRIMES and p < 10_000:
         p += 2
-        if not _is_prime(p):
+        if not _is_prime(p) or G.lc % p == 0:
             continue
-        if G.lc % p == 0:
-            continue
-        fp = _residues(G.coeffs, p)
-        if len(fp) - 1 != G.degree:
-            continue
-        if len(_gf_gcd(fp, gp.coeffs, p)) == 1:
+        if len(_gf_gcd(_residues(G.coeffs, p), gp.coeffs, p)) == 1:
             out.append(p)
     if not out:
         raise ArithmeticError("no prime of good reduction found below 10000")
     return out
 
 
+def _newton_polygon_irreducible(a: tuple[int, ...]) -> bool:
+    """Whether, at a prime p < 10,000 that divides every coefficient but
+    the leading one, a's Newton polygon is the single segment from (0, v),
+    v = v_p(a_0), to (d, 0) with gcd(v, d) = 1 (Dumas): then every root has
+    valuation v/d, a factor of degree k over Q_p has a constant term of
+    valuation k v/d, and so d | k."""
+    d, g, p = len(a) - 1, math.gcd(*a[:-1]), 1
+    while a[0] and g > 1 and p < 10_000:
+        p += 1
+        if g % p:
+            continue
+        while g % p == 0:  # so only primes divide what is left of g
+            g //= p
+        v = next(k for k in itertools.count() if a[0] % p ** (k + 1))
+        # on or above the segment: v_p(a_i) * d >= v * (d - i)
+        if a[-1] % p and math.gcd(v, d) == 1 and all(
+            a[i] % p ** -(-v * (d - i) // d) == 0 for i in range(1, d)
+        ):
+            return True
+    return False
+
+
 def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
     d = G.degree
-    if d == 1:
+    if d == 1 or _newton_polygon_irreducible(G.coeffs):
         return [G]
     best = None  # (r_p, p, G mod p, its Frobenius matrix) of the fewest factors
     for p in _candidate_primes(G):
@@ -376,15 +409,13 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
     if len(mods) != r_best:
         raise ArithmeticError(f"GF({p}) split into {len(mods)} factors, Berlekamp counted {r_best}")
     mods.sort(key=lambda f: (len(f), f))
-    bound = _mignotte_bound(G)
-    lifted, modulus = _hensel_lift(G, mods, p, bound)
+    lifted, modulus = _hensel_lift(G, mods, p, _mignotte_bound(G))
     # subset recombination
     remaining = list(range(len(lifted)))
     g_rem = G
     found: list[IntPoly] = []
     size = 1
     while 2 * size <= len(remaining):
-        hit = False
         for combo in itertools.combinations(remaining, size):
             prod = _product([lifted[i] for i in combo], modulus)
             cand = IntPoly(_symmetric(prod, modulus), G.var)
@@ -394,9 +425,8 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
                 found.append(cand)
                 g_rem = g_rem.divexact(cand)
                 remaining = [i for i in remaining if i not in combo]
-                hit = True
                 break
-        if not hit:
+        else:
             size += 1
     if g_rem.degree > 0:
         found.append(g_rem)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from unicrit import factorz, polycore
+from unicrit.dynmaps import misiurewicz_poly
 from unicrit.factorz import (
     Factorization,
     factor,
@@ -21,6 +22,7 @@ from unicrit.factorz import (
     _berlekamp_factor_count,
     _ddf,
     _edf,
+    _newton_polygon_irreducible,
     _norm_unchecked,
 )
 from unicrit.polycore import (
@@ -28,6 +30,7 @@ from unicrit.polycore import (
     _badd,
     _bdivmod_monic,
     _bmul,
+    _bsub,
     _gf_exactdiv,
     _gf_gcd,
     _residues,
@@ -202,6 +205,41 @@ def test_factor_equal_degree_split():
     assert as_set(fac) == sorted([((3, 0, 1), 1), ((7, 0, 1), 1)])
 
 
+def _no_prime(G):
+    raise AssertionError("a prime was chosen for an input the Newton polygon proves")
+
+
+def test_newton_polygon_proves_before_any_prime(monkeypatch):
+    # x^3 - 4: v_2(a_0) = 2 at degree 3, which classical Eisenstein misses;
+    # x^2 + 6x + 12: gcd(v_2(a_0), 2) = 2 fails, v_3(a_0) = 1 proves it;
+    # the degree-80 h = 1 Misiurewicz polynomial of (n, t, tau) = (3, 4, 3)
+    # at p = 3.  The factor self-check cannot catch a false irreducibility
+    # claim, so Zassenhaus alone confirms each one first
+    P = misiurewicz_poly(3, 4, 1, 3, "chat").poly
+    assert P.degree == 80
+    inputs = (x ** 3 - 4, x ** 2 + 6 * x + 12, P)
+    with monkeypatch.context() as m:
+        m.setattr(factorz, "_newton_polygon_irreducible", lambda a: False)
+        assert [factor(f).factors for f in inputs] == [((f, 1),) for f in inputs]
+    monkeypatch.setattr(factorz, "_candidate_primes", _no_prime)
+    assert [factor(f).factors for f in inputs] == [((f, 1),) for f in inputs]
+
+
+def test_newton_polygon_leaves_reducible_inputs_to_zassenhaus():
+    # one segment, but gcd(v_2(a_0), d) = gcd(2, 2) = 2
+    assert as_set(factor(x ** 2 - 4)) == [((-2, 1), 1), ((2, 1), 1)]
+    # two Eisenstein polynomials at 2: x^3 + 4x^2 + 6x + 4 has v_2(a_0) = 2
+    # coprime to d = 3, but (1, v_2(6)) = (1, 1) lies below the segment from
+    # (0, 2) to (3, 0), so the polygon has two segments
+    a, b = x ** 2 + 2 * x + 2, x + 2
+    assert not _newton_polygon_irreducible((a * b).coeffs)
+    assert as_set(factor(a * b)) == sorted([(a.coeffs, 1), (b.coeffs, 1)])
+    # 2x^2 - 2 = 2(x - 1)(x + 1): 2 divides every coefficient, the leading
+    # one too, so its polygon does not end at (2, 0)
+    assert not _newton_polygon_irreducible((-2, 0, 2))
+    assert _newton_polygon_irreducible((-2, 0, 1))
+
+
 def test_factor_self_check_raises_without_assert(monkeypatch):
     # the re-multiplication check must survive python -O
     real = factorz._factor_squarefree_primitive
@@ -293,6 +331,9 @@ def test_ring_refuses_inexact_int64():
     p = (1 << 32) + 15  # p^2 alone exceeds 2^63
     with pytest.raises(OverflowError):
         _Ring([1, 1], p)
+    p = 2_097_169  # p^2 * d < 2^63, but a Frobenius fold sums p terms below p^2
+    with pytest.raises(OverflowError):
+        _Ring([1, 0, 1], p)
     _Ring([1] * 17 + [1], 10007)  # the largest prime of factoring stays exact
 
 
@@ -360,6 +401,57 @@ def test_hensel_lift_recovers_known_factors(p):
         lifted, modulus = factorz._hensel_lift(G, mods, p, bound)
         assert 2 * bound < modulus <= (2 * bound) ** 2
         assert [_symmetric(f, modulus) for f in lifted] == [list(f.coeffs) for f in factors]
+
+
+def _full_width_hensel_step(f, g, h, s, t, m):
+    """The quadratic step with every product over Z/m^2 (von zur
+    Gathen-Gerhard 15.4): the reference for the half-width step."""
+    m2 = m * m
+    e = _bsub(f, _bmul(g, h, m2), m2)
+    q, r = _bdivmod_monic(_bmul(s, e, m2), h, m2)
+    g1 = _badd(_badd(g, _bmul(t, e, m2), m2), _bmul(q, g, m2), m2)
+    h1 = _badd(h, r, m2)
+    b = _bsub(_badd(_bmul(s, g1, m2), _bmul(t, h1, m2), m2), [1], m2)
+    c, d = _bdivmod_monic(_bmul(s, b, m2), h1, m2)
+    s1 = _bsub(s, d, m2)
+    t1 = _bsub(_bsub(t, _bmul(t, b, m2), m2), _bmul(c, g1, m2), m2)
+    return g1, h1, s1, t1
+
+
+def _coprime_split(rng, p, dg, dh):
+    """Random coprime monic g, h over GF(p) and their Bezout pair."""
+    while True:
+        g = [rng.randrange(p) for _ in range(dg)] + [1]
+        h = [rng.randrange(p) for _ in range(dh)] + [1]
+        if _gf_gcd(g, h, p) == [1]:
+            return (g, h) + factorz._bezout(g, h, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 10007])
+def test_half_width_hensel_step_matches_full_width(p):
+    rng = random.Random(p)
+    for dg, dh in ((1, 1), (1, 4), (3, 2), (6, 9), (20, 17)):
+        g, h, s, t = _coprime_split(rng, p, dg, dh)
+        F = _badd(_bmul(g, h, p), [p * rng.randrange(-p ** 20, p ** 20) for _ in range(dg + dh)], p ** 40)
+        m = p
+        for _ in range(4):  # valid mod p^16
+            g, h, s, t = _full_width_hensel_step(_residues(F, m * m), g, h, s, t, m)
+            m *= m
+        for k in (1, 2, 3, 5, 8):
+            m = p ** k
+            args = [_residues(v, m) for v in (g, h, s, t)]
+            f = _residues(F, m * m)
+            assert factorz._hensel_step(f, *args, m) == _full_width_hensel_step(f, *args, m), (p, k)
+
+
+def test_hensel_step_refuses_inputs_not_valid_mod_m():
+    g, h, s, t = [1, 1], [2, 1], [4], [1]  # s g + t h = 1 mod 5
+    f = _bmul(g, h, 25)
+    factorz._hensel_step(f, g, h, s, t, 5)
+    with pytest.raises(ArithmeticError, match="not valid mod 5"):
+        factorz._hensel_step(_badd(f, [1], 25), g, h, s, t, 5)  # f != g h mod 5
+    with pytest.raises(ArithmeticError, match="not valid mod 5"):
+        factorz._hensel_step(f, g, h, [2], t, 5)  # s g + t h != 1 mod 5
 
 
 def test_hensel_lift_rejects_factors_not_coprime_mod_p():
