@@ -362,11 +362,11 @@ def multiplier_resultant(
     so q is monic of degree nu(h) in mu.  Computed by evaluating c at the
     integer points 0, ..., D, taking bivariate resultants in (mu, z) by the
     exact subresultant PRS, and interpolating back; both steps are exact.
-    D is the degree that _parabolic_bounds(n, h, 1, dz) proves: each
-    mu-coefficient of q is a symmetric function of at most dz = deg_z Phi_h
-    multipliers, and each multiplier grows like |c|^(h(n-1)/n) on the
-    periodic-point disc.  Phi_h and (f^h)' have leading coefficients 1 and
-    n^h in z, so no point drops a degree.
+    D = _elimination_degree(n, h, 1, dz), the degree _parabolic_bounds
+    proves: each mu-coefficient of q is a symmetric function of at most
+    dz = deg_z Phi_h multipliers, and each grows like |c|^(h(n-1)/n) on
+    the periodic-point disc.  Phi_h and (f^h)' have leading coefficients 1
+    and n^h in z, so no point drops a degree.
     """
     _validate_n(n)
     _require(h >= 1, "period h must be >= 1")
@@ -380,7 +380,7 @@ def _multiplier_resultant(n: int, h: int) -> BiPoly:
     W = _multiplier(n, h)
     dmu = phi.degree("z")
     vals = []
-    for x in range(_parabolic_bounds(n, h, 1, dmu)[0] + 1):
+    for x in range(_elimination_degree(n, h, 1, dmu) + 1):
         A = BiPoly.from_inner_poly(phi.eval_at("c", x), outer="mu")
         B = BiPoly.gen("mu", "mu", "z") - BiPoly.from_inner_poly(
             W.eval_at("c", x), outer="mu"

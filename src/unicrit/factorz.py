@@ -2,23 +2,23 @@
 
 Zassenhaus with the usual refinements: Yun squarefree decomposition, a
 Newton-polygon irreducibility proof before any prime is chosen, prime
-selection over several candidates, a Berlekamp factor-count fast path that
-proves irreducibility outright when some prime sees a single factor,
-distinct/equal-degree factorization over GF(p), quadratic Hensel lifting
-that splits the factor list in two and recurses, and subset recombination
-against a rigorous factor coefficient bound.  A non-monic input is
-factored through its monic root scaling.  Output order is deterministic:
-(degree, coefficients).
+selection over several candidates by Berlekamp's factor count, which
+proves irreducibility outright when some prime sees a single factor, a
+Berlekamp split over GF(p), quadratic Hensel lifting that splits the
+factor list in two and recurses, and subset recombination against a
+rigorous factor coefficient bound.  A non-monic input is factored through
+its monic root scaling.  Output order is deterministic: (degree,
+coefficients).  Nothing is random.
 
 Coefficient-list arithmetic over GF(p) and Z/m (products, division, gcd,
-symmetric lift) comes from polycore's modular kernel.  Arithmetic in
-GF(p)[x]/(f) goes through one ring, _Ring, built once per (f, p): numpy
-int64 convolution plus a precomputed reduction table, at every degree.
-Each candidate prime's Frobenius matrix Q (rows x^(ip) mod f) is built
-once, each row the last one times x^p; its nullity is Berlekamp's factor
-count, and the best prime's Q then drives distinct-degree factorization as
-the linear map h -> h^p.  A Hensel step takes its corrections over Z/m,
-not Z/m^2; its products use Kronecker substitution.
+symmetric lift) comes from polycore's modular kernel.  Each candidate
+prime's Frobenius matrix Q (rows x^(ip) mod f) is built once, each row the
+last one times x^p, as numpy int64 vectors folded by a table of p rows.
+One elimination of (Q - I)^T per prime gives the factor count, its
+nullity; the best prime's echelon rows then give the kernel vectors
+v with v^p = v mod f, and gcds with v - s split f into its irreducible
+factors.  A Hensel step takes its corrections over Z/m, not Z/m^2; its
+products use Kronecker substitution.
 
 Everything is exact; the final factorization is re-multiplied and compared
 against the input before it is returned, and a failed check raises
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,10 +41,8 @@ from .polycore import (
     _bmul,
     _bsub,
     _gf_divmod,
-    _gf_exactdiv,
     _gf_gcd,
     _is_prime,
-    _power,
     _residues,
     _strip,
     _symmetric,
@@ -54,11 +51,6 @@ from .polycore import (
     poly_to_json,
     root_scale_transform,
 )
-
-# Degrees that share one gcd in distinct-degree factorization: a gcd costs
-# O(d^2) list steps, the product that merges one more degree into it one
-# ring product.  Blocks of 4 ... 32 timed alike on the thm31 sweep's inputs.
-_DDF_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -94,82 +86,58 @@ class Factorization:
         )
 
 
-class _Ring:
-    """GF(p)[x]/(f) for monic f of degree d >= 2.
+def _frobenius(f: list[int], p: int) -> np.ndarray:
+    """Berlekamp's Q for monic f of degree d >= 1 over GF(p): row i is
+    x^(ip) mod f, so h^p = h @ Q for any h of degree < d.
 
-    Built once per (f, p).  An element is an int64 vector of length d.  The
-    fold table holds the rows x^d .. x^(d+k-1) mod f, k = max(d - 1, p).  A
-    product is one numpy convolution whose top d - 1 coefficients are
-    folded back by the first d - 1 rows.  A fold sums at most max(d, p)
-    terms below p^2, so p^2 * max(d, p) < 2^63 keeps it exact.
+    Row i is row i - 1 times x^p: shifted by p places, its top p
+    coefficients folded back by the fold table, the rows x^d .. x^(d+p-1)
+    mod f.  A fold sums p terms below p^2 and a step of the rank
+    elimination d of them, so p^2 * max(d, p) < 2^63 keeps both exact.
     """
-
-    def __init__(self, f: list[int], p: int):
-        d = len(f) - 1
-        if p * p * max(d, p) >= 1 << 63:
-            raise OverflowError(f"GF({p}) products of degree {d} overflow int64")
-        self.f, self.p, self.d = f, p, d
-        # row k is x^(d+k) mod f: x times row k-1, its x^d term folded back
-        red = np.empty((max(d - 1, p), d), dtype=np.int64)
-        red[0] = [-c % p for c in f[:d]]
-        for k in range(1, len(red)):
-            red[k, 0] = 0
-            red[k, 1:] = red[k - 1, :-1]
-            red[k] = (red[k] + red[k - 1, -1] * red[0]) % p
-        self.red = red
-
-    def _vec(self, a: list[int]) -> np.ndarray:
-        a = _bdivmod_monic(a, self.f, self.p)[1]
-        v = np.zeros(self.d, dtype=np.int64)
-        v[: len(a)] = a
-        return v
-
-    def _mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        c = np.convolve(u, v) % self.p
-        return (c[: self.d] + c[self.d :] @ self.red[: self.d - 1]) % self.p
-
-    def mul(self, a: list[int], b: list[int]) -> list[int]:
-        """a * b mod f."""
-        return _strip(self._mul(self._vec(a), self._vec(b)).tolist())
-
-    def pow(self, a: list[int], e: int) -> list[int]:
-        """a^e mod f."""
-        return _strip(_power(self._vec(a), e, self._vec([1]), self._mul).tolist())
-
-    def frobenius(self) -> np.ndarray:
-        """Berlekamp's Q: row i is x^(ip) mod f, so h^p = h @ Q for any h.
-        Row i is row i - 1 times x^p: shifted by p places, its top p
-        coefficients folded back by the first p rows of the table."""
-        d, p = self.d, self.p
-        q = np.zeros((d, d), dtype=np.int64)
-        q[0, 0] = 1
-        shifted = np.zeros(d + p, dtype=np.int64)
-        for i in range(1, d):
-            shifted[p:] = q[i - 1]
-            q[i] = (shifted[:d] + shifted[d:] @ self.red[:p]) % p
-        return q
+    d = len(f) - 1
+    if p * p * max(d, p) >= 1 << 63:
+        raise OverflowError(f"GF({p}) products of degree {d} overflow int64")
+    # row k is x^(d+k) mod f: x times row k-1, its x^d term folded back
+    red = np.empty((p, d), dtype=np.int64)
+    red[0] = [-c % p for c in f[:d]]
+    for k in range(1, p):
+        red[k, 0] = 0
+        red[k, 1:] = red[k - 1, :-1]
+        red[k] = (red[k] + red[k - 1, -1] * red[0]) % p
+    q = np.zeros((d, d), dtype=np.int64)
+    q[0, 0] = 1
+    shifted = np.zeros(d + p, dtype=np.int64)
+    for i in range(1, d):
+        shifted[p:] = q[i - 1]
+        q[i] = (shifted[:d] + shifted[d:] @ red) % p
+    return q
 
 
 # ---------------------------------------------------------------------------
-# Berlekamp factor count
+# Berlekamp: the kernel of (Q - I)^T counts the factors and splits them
 
 
-def _berlekamp_factor_count(q: np.ndarray, p: int) -> int:
-    """Number of irreducible factors over GF(p) of a squarefree monic f,
-    from its Frobenius matrix q: the nullity of q - I."""
+def _berlekamp_echelon(q: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form of (Q - I)^T over GF(p), from the Frobenius matrix
+    q of a squarefree monic f: its nonzero rows, each 1 at its pivot
+    column and 0 left of it, and those pivot columns.  The kernel
+    {h : h^p = h mod f} has dimension d - rank, the number of irreducible
+    factors of f over GF(p) (Berlekamp)."""
     d = q.shape[0]
-    m = q - np.eye(d, dtype=np.int64)
+    m = q.T.copy()
+    m[np.diag_indices(d)] -= 1
     # rank over GF(p) by vectorized elimination.  Only the pivot column and
     # row are reduced mod p: any other entry takes at most d updates, each
-    # below p^2, and p^2 * d < 2^63 (checked by _Ring) keeps it exact
-    r = col = 0  # r is the rank so far
-    while r < d and col < d:
+    # below p^2, and p^2 * d < 2^63 (checked by _frobenius) keeps it exact
+    pivots: list[int] = []
+    r = 0  # the rank so far
+    for col in range(d):
         m[r:, col] %= p
-        pivots = np.nonzero(m[r:, col])[0]
-        if pivots.size == 0:
-            col += 1
+        nonzero = np.nonzero(m[r:, col])[0]
+        if nonzero.size == 0:
             continue
-        pr = r + int(pivots[0])
+        pr = r + int(nonzero[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         m[r, col:] %= p
@@ -179,68 +147,47 @@ def _berlekamp_factor_count(q: np.ndarray, p: int) -> int:
         rows = r + 1 + np.nonzero(m[r + 1 :, col])[0]
         if rows.size:
             m[rows, col:] -= np.outer(m[rows, col], m[r, col:])
+        pivots.append(col)
         r += 1
-        col += 1
-    return d - r
+    return m[:r], pivots
 
 
-# ---------------------------------------------------------------------------
-# distinct-degree / equal-degree factorization over GF(p)
+def _berlekamp_split(f: list[int], rows: np.ndarray, pivots: list[int], p: int, r: int) -> list[list[int]]:
+    """The r monic irreducible factors over GF(p) of squarefree monic f,
+    from the echelon form of (Q - I)^T (_berlekamp_echelon).
 
-
-def _ddf(f: list[int], q: np.ndarray, p: int) -> list[tuple[list[int], int]]:
-    """[(product of irreducible factors of degree j, j)] for monic squarefree f
-    of degree >= 2, given its Frobenius matrix q."""
-    ring = _Ring(f, p)
-    out = []
-    h = np.zeros(len(f) - 1, dtype=np.int64)
-    h[1] = 1
-    rest = list(f)
-    j = 0
-    while len(rest) - 1 >= 2 * (j + 1):
-        # h_j = x^(p^j) mod f, one linear step per degree.  A block of degrees
-        # shares one gcd of prod (h_j - x) with rest, which is 1 unless rest
-        # has a factor of a degree in the block; only then is each h_j - x
-        # taken apart.  Everything stays mod f, not mod rest: rest | f.
-        block, acc = [], [1]
-        while len(block) < _DDF_BLOCK and len(rest) - 1 >= 2 * (j + 1):
-            j += 1
-            h = h @ q % p
-            hx = h.tolist()
-            hx[1] = (hx[1] - 1) % p
-            block.append((_strip(hx), j))
-            acc = ring.mul(acc, block[-1][0])
-        found = _gf_gcd(acc, rest, p)
-        if len(found) == 1:
-            continue
-        rest = _gf_exactdiv(rest, found, p)
-        for hx, j_hx in block:
-            g = _gf_gcd(hx, found, p)
-            if len(g) > 1:
-                out.append((g, j_hx))
-                found = _gf_exactdiv(found, g, p)
-    if len(rest) > 1:
-        out.append((rest, len(rest) - 1))
-    return out
-
-
-def _edf(f: list[int], j: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Split monic squarefree f (all factors degree j) into irreducibles."""
+    Each free column gives one kernel vector v, by back-substitution; v^p
+    = v mod f, so v is constant mod every irreducible factor and f is the
+    product of gcd(f, v - s) over s in GF(p).  Splitting every factor so
+    far by every kernel vector leaves r factors (Berlekamp 1967; von zur
+    Gathen-Gerhard, Modern Computer Algebra, 14.8).
+    """
     d = len(f) - 1
-    if d == j:
-        return [f]
-    ring = _Ring(f, p)
-    exponent = (p ** j - 1) // 2
-    while True:
-        t = [rng.randrange(p) for _ in range(2 * j)] + [1]
-        w0 = ring.pow(t, exponent)
-        if not w0:
-            continue
-        w0[0] = (w0[0] - 1) % p
-        g = _gf_gcd(w0, f, p)
-        if 0 < len(g) - 1 < d:
-            q = _gf_exactdiv(f, g, p)
-            return _edf(g, j, p, rng) + _edf(q, j, p, rng)
+    free = sorted(set(range(d)) - set(pivots))
+    kernel = np.zeros((len(free), d), dtype=np.int64)
+    kernel[range(len(free)), free] = 1
+    for row, col in zip(rows[::-1], pivots[::-1]):
+        kernel[:, col] = -(kernel @ row) % p
+    factors = [f]
+    for v in map(_strip, kernel.tolist()):
+        if len(factors) == r:
+            break
+        split = []
+        for u in factors:
+            vu = _bdivmod_monic(v, u, p)[1]
+            if len(vu) < 2:  # constant mod u: splits nothing
+                split.append(u)
+                continue
+            left = len(u) - 1  # the degree of u not yet found
+            for s in range(p):
+                g = _gf_gcd(u, _bsub(vu, [s], p), p)
+                if len(g) > 1:
+                    split.append(g)
+                    left -= len(g) - 1
+                    if not left:
+                        break
+        factors = split
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +338,18 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
     d = G.degree
     if d == 1 or _newton_polygon_irreducible(G.coeffs):
         return [G]
-    best = None  # (r_p, p, G mod p, its Frobenius matrix) of the fewest factors
+    best = None  # (r_p, p, G mod p, echelon rows, pivots) of the fewest factors
     for p in _candidate_primes(G):
         fp = _residues(G.coeffs, p)  # monic, since G is
-        q = _Ring(fp, p).frobenius()
-        r_p = _berlekamp_factor_count(q, p)
+        rows, pivots = _berlekamp_echelon(_frobenius(fp, p), p)
+        r_p = d - len(pivots)
         if r_p == 1:
             return [G]  # proven irreducible by a single prime
         if best is None or r_p < best[0]:
-            best = (r_p, p, fp, q)
-        del q  # only the best prime's matrix stays alive
-    r_best, p, fp, q = best
-    rng = random.Random(0xDEC0DE ^ (p * 1009) ^ d)
-    mods: list[list[int]] = []
-    for part, j in _ddf(fp, q, p):
-        mods.extend(_edf(part, j, p, rng))
+            best = (r_p, p, fp, rows, pivots)
+        del rows  # only the best prime's echelon rows stay alive
+    r_best, p, fp, rows, pivots = best
+    mods = _berlekamp_split(fp, rows, pivots, p, r_best)
     if len(mods) != r_best:
         raise ArithmeticError(f"GF({p}) split into {len(mods)} factors, Berlekamp counted {r_best}")
     mods.sort(key=lambda f: (len(f), f))

@@ -27,8 +27,8 @@ call of _zmul: schoolbook for short factors, one big-integer product by
 Kronecker substitution for longer ones.  A BiPoly product lays its rows end
 to end at a stride no row product can overrun, and a BiPoly quotient is one
 IntPoly division in the same flat layout.  Every power, of an IntPoly, a
-BiPoly, a number-field element, a GF(p)[x]/(f) residue or a vector of GF(p)
-scalars, is one call of _power, the package's one square-and-multiply loop.
+BiPoly, a number-field element or a vector of GF(p) scalars, is one call
+of _power, the package's one square-and-multiply loop.
 
 The modular kernel section is the package's one copy of coefficient-list
 arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
@@ -136,19 +136,13 @@ def _is_prime(n: int) -> bool:
 _PRIME_CACHE: list[int] = []
 
 
-def _primes_25bit(count: int) -> list[int]:
-    """First `count` primes descending from 2^25 (fit int64 convolution)."""
+def _prime_at(index: int) -> int:
+    """The index-th prime descending from 2^25 (fits int64 convolution)."""
     candidate = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 25) - 1
-    while len(_PRIME_CACHE) < count:
+    while len(_PRIME_CACHE) <= index:
         if _is_prime(candidate):
             _PRIME_CACHE.append(candidate)
         candidate -= 2
-    return _PRIME_CACHE[:count]
-
-
-def _prime_at(index: int) -> int:
-    while len(_PRIME_CACHE) <= index:
-        _primes_25bit(len(_PRIME_CACHE) + 32)
     return _PRIME_CACHE[index]
 
 
@@ -304,13 +298,6 @@ def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
             for j in range(df):
                 r[k + j] = (r[k + j] - t * b[j]) % p
     return _strip(q), _strip(r[:df])
-
-
-def _gf_exactdiv(a: list[int], b: list[int], p: int) -> list[int]:
-    q, r = _gf_divmod(a, b, p)
-    if r:
-        raise ArithmeticError(f"GF({p}) division left a remainder of degree {len(r) - 1}")
-    return q
 
 
 def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

@@ -8,7 +8,6 @@ prime (forcing the Hensel lift + recombination path to do real work).
 
 import random
 
-import numpy as np
 import pytest
 
 from unicrit import factorz, polycore
@@ -18,10 +17,9 @@ from unicrit.factorz import (
     factor,
     is_irreducible,
     norm_of_root,
-    _Ring,
-    _berlekamp_factor_count,
-    _ddf,
-    _edf,
+    _berlekamp_echelon,
+    _berlekamp_split,
+    _frobenius,
     _newton_polygon_irreducible,
     _norm_unchecked,
 )
@@ -31,7 +29,7 @@ from unicrit.polycore import (
     _bdivmod_monic,
     _bmul,
     _bsub,
-    _gf_exactdiv,
+    _gf_divmod,
     _gf_gcd,
     _residues,
     _strip,
@@ -199,7 +197,8 @@ def test_factor_medium_degree_irreducible_fast_path():
 
 
 def test_factor_equal_degree_split():
-    # two quadratics that stay quadratic mod many primes: EDF must split them
+    # two quadratics that stay quadratic mod many primes: the Berlekamp
+    # split must separate factors of equal degree
     f = (x ** 2 + 3) * (x ** 2 + 7)
     fac = factor(f)
     assert as_set(fac) == sorted([((3, 0, 1), 1), ((7, 0, 1), 1)])
@@ -250,7 +249,8 @@ def test_factor_self_check_raises_without_assert(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # GF(p) kernel against the list path: the schoolbook list products are the
-# reference for the ring's numpy products, from degree 2 up
+# reference for the numpy Frobenius matrix, and a distinct-degree
+# factorization on lists for the degrees of the Berlekamp split
 
 
 def _list_mulmod(a, b, f, p):
@@ -276,6 +276,12 @@ def _list_frobenius(f, p):
     return rows
 
 
+def _list_exactdiv(a, b, p):
+    q, r = _gf_divmod(a, b, p)
+    assert not r
+    return q
+
+
 def _list_ddf(f, p):
     """Distinct-degree factorization recomputing x^(p^j) mod the cofactor."""
     out, h, rest, j = [], [0, 1], list(f), 0
@@ -287,7 +293,7 @@ def _list_ddf(f, p):
         g = _gf_gcd(_strip(hx), rest, p)
         if len(g) > 1:
             out.append((g, j))
-            rest = _gf_exactdiv(rest, g, p)
+            rest = _list_exactdiv(rest, g, p)
             h = _bdivmod_monic(h, rest, p)[1]
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
@@ -302,39 +308,81 @@ def _random_squarefree_monic(rng, d, p):
             return f
 
 
+def _nullity(f, p):
+    return len(f) - 1 - len(_berlekamp_echelon(_frobenius(f, p), p)[1])
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 97])
-def test_frobenius_kernel_matches_list_path(p, monkeypatch):
+def test_frobenius_kernel_matches_list_path(p):
     rng = random.Random(p)
     for d in (2, 3, 4, 7, 12, 16, 17, 20, 31, 48):
         f = _random_squarefree_monic(rng, d, p)
-        ring = _Ring(f, p)
-        q = ring.frobenius()
+        q = _frobenius(f, p)
         rows = _list_frobenius(f, p)
         assert q.tolist() == rows, (p, d)
-        parts = _ddf(f, q, p)
-        assert parts == _list_ddf(f, p), (p, d)
-        with monkeypatch.context() as m:  # many blocks, split inside blocks
-            m.setattr(factorz, "_DDF_BLOCK", 3)
-            assert _ddf(f, q, p) == parts, (p, d)
-        rng_edf = random.Random(d)
-        irreducibles = [g for part, j in parts for g in _edf(part, j, p, rng_edf)]
-        count = _berlekamp_factor_count(q, p)
-        assert count == _berlekamp_factor_count(np.array(rows, dtype=np.int64), p)
-        assert count == len(irreducibles)
-        for _ in range(3):
-            t = [rng.randrange(p) for _ in range(rng.randint(1, 2 * d))] + [1]
-            e = rng.randrange(p ** 3)
-            assert ring.pow(t, e) == _list_powmod(t, e, f, p), (p, d, e)
+        echelon, pivots = _berlekamp_echelon(q, p)
+        count = d - len(pivots)
+        assert count == _nullity(f, p)
+        factors = _berlekamp_split(f, echelon, pivots, p, count)
+        assert len(factors) == count, (p, d)
+        assert all(g[-1] == 1 for g in factors), (p, d)
+        product = [1]
+        for g in factors:
+            product = _bmul(product, g, p)
+        assert product == f, (p, d)
+        degrees = sorted(j for part, j in _list_ddf(f, p) for _ in range((len(part) - 1) // j))
+        assert sorted(len(g) - 1 for g in factors) == degrees, (p, d)
+        assert all(_nullity(g, p) == 1 for g in factors), (p, d)
+
+
+def _spy_split(monkeypatch):
+    calls = []
+    real = factorz._berlekamp_split
+
+    def spy(f, rows, pivots, p, r):
+        out = real(f, rows, pivots, p, r)
+        calls.append((p, len(out)))
+        return out
+
+    monkeypatch.setattr(factorz, "_berlekamp_split", spy)
+    return calls
+
+
+def test_berlekamp_split_many_linear_factors(monkeypatch):
+    # 150 distinct roots mod 151, the first prime of good reduction, where
+    # the last factor x - 150 is the kernel vector x at s = p - 1
+    calls = _spy_split(monkeypatch)
+    f = IntPoly.const(1)
+    for i in range(1, 151):
+        f = f * (x - i)
+    assert as_set(factor(f)) == [((-i, 1), 1) for i in range(150, 0, -1)]
+    assert calls == [(151, 150)]
+
+
+def test_berlekamp_split_at_a_large_prime(monkeypatch):
+    # N * i is 0 mod every odd prime below 3,000, so x^2 - N i is a square
+    # there and the first prime of good reduction lies above 3,000
+    calls = _spy_split(monkeypatch)
+    N = 1
+    for q in range(3, 3000, 2):
+        if polycore._is_prime(q):
+            N *= q
+    quadratics = [x ** 2 - N * i for i in range(1, 9)]
+    f = IntPoly.const(1)
+    for g in quadratics:
+        f = f * g
+    assert as_set(factor(f)) == sorted((g.coeffs, 1) for g in quadratics)
+    assert len(calls) == 1 and calls[0][0] > 3000
 
 
 def test_ring_refuses_inexact_int64():
     p = (1 << 32) + 15  # p^2 alone exceeds 2^63
     with pytest.raises(OverflowError):
-        _Ring([1, 1], p)
+        _frobenius([1, 1], p)
     p = 2_097_169  # p^2 * d < 2^63, but a Frobenius fold sums p terms below p^2
     with pytest.raises(OverflowError):
-        _Ring([1, 0, 1], p)
-    _Ring([1] * 17 + [1], 10007)  # the largest prime of factoring stays exact
+        _frobenius([1, 0, 1], p)
+    _frobenius([1] * 17 + [1], 10007)  # the largest prime of factoring stays exact
 
 
 def test_kronecker_product_matches_schoolbook(monkeypatch):
