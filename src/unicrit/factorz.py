@@ -5,10 +5,13 @@ Newton-polygon irreducibility proof before any prime is chosen, prime
 selection over several candidates by Berlekamp's factor count, which
 proves irreducibility outright when some prime sees a single factor, a
 Berlekamp split over GF(p), quadratic Hensel lifting that splits the
-factor list in two and recurses, and subset recombination against a
-rigorous factor coefficient bound.  A non-monic input is factored through
-its monic root scaling.  Output order is deterministic: (degree,
-coefficients).  Nothing is random.
+factor list in two and recurses, and subset recombination.  Recombination
+keeps a subset only when its constant term, read at a lift past
+2 max(2^63, |G(0)|), divides G(0), a proven filter that settles most
+inputs as irreducible at that first lift; each surviving subset is lifted
+only as far as Mignotte's bound for its degree, or its complement's, needs.
+A non-monic input is factored through its monic root scaling.  Output
+order is deterministic: (degree, coefficients).  Nothing is random.
 
 Coefficient-list arithmetic over GF(p) and Z/m (products, division, gcd,
 symmetric lift) comes from polycore's modular kernel.  Each candidate
@@ -281,29 +284,108 @@ def _hensel_lift(G: IntPoly, factors_p: list[list[int]], p: int, bound: int) -> 
 
 
 # ---------------------------------------------------------------------------
+# Recombination: a constant-term filter at a 64-bit lift, then a lift only as
+# far as the surviving subsets need
+
+
+def _factor_bound(G: IntPoly, k: int) -> int:
+    """C(k, floor(k/2)) * ceil(|G|_2), a bound on every coefficient of a
+    degree-k factor h of G in Z[x] (Mignotte 1974): |h_j| <= C(k, j) M(h)
+    <= C(k, j) M(G) <= C(k, j) |G|_2, M the Mahler measure."""
+    norm2 = sum(c * c for c in G.coeffs)
+    return math.comb(k, k // 2) * (math.isqrt(norm2 - 1) + 1)
+
+
+def _recombine(G: IntPoly, mods: list[list[int]], p: int) -> list[IntPoly]:
+    """The irreducible factors of squarefree monic G with G(0) != 0, from
+    its r coprime monic irreducible factors mods over GF(p).
+
+    The factors are first lifted to a modulus m0 > 2 max(2^63, |G(0)|),
+    and a subset S of the factors left, of at most half of them, passes
+    when the symmetric lift of the product of their constant terms mod m0
+    is nonzero and divides g(0), g the part of G not yet split off.  A
+    factor h of g always has a subset that passes:
+    - a monic factor h of g has h(0) | g(0) | G(0), and |h(0)| <= |G(0)|
+      as G(0) != 0;
+    - Hensel lifts are unique, so h is the product of its subset mod m0,
+      and |h(0)| < m0 / 2 makes the symmetric lift h(0) itself;
+    - of any split of g, one side holds at most half of g's factors.
+    So when no subset passes, g is irreducible, whatever the coefficient
+    bound (the trailing-coefficient test of Abbott-Shoup-Zimmermann,
+    "Factorization in Z[x]: the searching phase", ISSAC 2000).
+
+    Subsets are tried by size, smallest first, so each factor found is
+    irreducible; a factor of g met later in a size's pass divides g at its
+    start, so one pass over each size's survivors finds them all.  At each
+    size the survivors are lifted once, as far as the largest of their
+    targets min(B_k, B_(e-k)) needs, with B_k = _factor_bound(G, k), k the
+    degree of S and e that of g.  A factor of g of degree k, and its
+    cofactor of degree e - k, both divide G, so the side with the smaller
+    bound, S or the rest, is its exact symmetric lift once the modulus
+    passes twice that bound; it is trial-divided into g.  Since B is
+    nondecreasing in k, no target passes B_(e // 2).
+    """
+    low, m0 = _hensel_lift(G, mods, p, max(1 << 63, abs(G.constant)))
+    lifted, modulus = low, m0
+    remaining, g_rem, found = list(range(len(mods))), G, []
+
+    def side(S):  # the subset to rebuild, S or the rest, and its bound
+        k = sum(len(low[i]) - 1 for i in S)
+        b, b_rest = _factor_bound(G, k), _factor_bound(G, g_rem.degree - k)
+        if b <= b_rest:
+            return S, b
+        return [i for i in remaining if i not in S], b_rest
+
+    size = 1
+    while 2 * size <= len(remaining):
+        survivors = []
+        for S in itertools.combinations(remaining, size):
+            (c,) = _symmetric([math.prod(low[i][0] for i in S) % m0], m0)
+            if c and g_rem.constant % c == 0:
+                survivors.append(S)
+        if survivors:
+            target = max(side(S)[1] for S in survivors)
+            if modulus <= 2 * target:
+                lifted, modulus = _hensel_lift(G, mods, p, target)
+        for S in survivors:
+            if 2 * size > len(remaining):
+                break  # g is irreducible: any split has a side below this size
+            if not set(S) <= set(remaining):
+                continue  # shares a factor with one split off at this size
+            T = side(S)[0]
+            cand = IntPoly(_symmetric(_product([lifted[i] for i in T], modulus), modulus), G.var)
+            q, rem = g_rem.divmod_exact(cand)
+            if not rem.is_zero:
+                continue
+            found.append(cand if T is S else q)
+            g_rem = q if T is S else cand
+            remaining = [i for i in remaining if i not in S]
+        size += 1
+    if g_rem.degree > 0:
+        found.append(g_rem)
+    return found
+
+
+# ---------------------------------------------------------------------------
 # Zassenhaus driver
 
 
-def _mignotte_bound(G: IntPoly) -> int:
-    # any monic divisor h of monic G satisfies |h|_inf <= sqrt(n+1) 2^n |G|_inf
-    n = G.degree
-    norm = max(abs(c) for c in G.coeffs)
-    return (math.isqrt(n + 1) + 1) * (1 << n) * norm + 1
-
-
 # Zassenhaus counts the factors mod this many primes of good reduction and
-# lifts from the prime with the fewest
-_CANDIDATE_PRIMES = 8
+# lifts from the prime with the fewest.  With recombination's constant-term
+# filter, more primes cost more Berlekamp work than the factors they save,
+# and fewer leave more factors to recombine (2^r subsets): on the thm31
+# sweep, 3 primes left at most 7, 2 primes 12
+_CANDIDATE_PRIMES = 3
 
 
 def _candidate_primes(G: IntPoly) -> list[int]:
-    """Odd primes >= 5 of good reduction: lc survives, image squarefree."""
+    """Odd primes >= 5 at which monic G stays squarefree."""
     out = []
     p = 3
     gp = G.derivative()
     while len(out) < _CANDIDATE_PRIMES and p < 10_000:
         p += 2
-        if not _is_prime(p) or G.lc % p == 0:
+        if not _is_prime(p):
             continue
         if len(_gf_gcd(_residues(G.coeffs, p), gp.coeffs, p)) == 1:
             out.append(p)
@@ -335,6 +417,7 @@ def _newton_polygon_irreducible(a: tuple[int, ...]) -> bool:
 
 
 def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
+    """Irreducible factors of a squarefree monic G with G(0) != 0."""
     d = G.degree
     if d == 1 or _newton_polygon_irreducible(G.coeffs):
         return [G]
@@ -353,28 +436,7 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
     if len(mods) != r_best:
         raise ArithmeticError(f"GF({p}) split into {len(mods)} factors, Berlekamp counted {r_best}")
     mods.sort(key=lambda f: (len(f), f))
-    lifted, modulus = _hensel_lift(G, mods, p, _mignotte_bound(G))
-    # subset recombination
-    remaining = list(range(len(lifted)))
-    g_rem = G
-    found: list[IntPoly] = []
-    size = 1
-    while 2 * size <= len(remaining):
-        for combo in itertools.combinations(remaining, size):
-            prod = _product([lifted[i] for i in combo], modulus)
-            cand = IntPoly(_symmetric(prod, modulus), G.var)
-            if cand.constant == 0 or g_rem.constant % cand.constant:
-                continue  # cheap filter: cand(0) must divide g_rem(0)
-            if cand.divides(g_rem):
-                found.append(cand)
-                g_rem = g_rem.divexact(cand)
-                remaining = [i for i in remaining if i not in combo]
-                break
-        else:
-            size += 1
-    if g_rem.degree > 0:
-        found.append(g_rem)
-    return found
+    return _recombine(G, mods, p)
 
 
 def _yun_squarefree(P: IntPoly) -> list[tuple[IntPoly, int]]:

@@ -13,6 +13,14 @@ rational parameters, on the orbits numfield holds as field elements.
 
 Reports serialize deterministically: identical inputs give byte-identical
 JSON (timing is zeroed unless explicitly requested).
+
+Norms, bounds and quotients are written as decimal strings of any length.
+Python 3.11 and later refuse to turn an int of more than 4,300 digits into
+a string unless `sys.set_int_max_str_digits` lifts that limit.
+`unicrit.cli.main` lifts it for its own process; this module does not, as
+lifting it at import would switch off the guard for every importer.  A
+caller outside `cli.main` whose cells reach such numbers, such as
+`verify_thm_1_4(2, 1, 199)`, lifts the limit first, or gets a ValueError.
 """
 
 from __future__ import annotations
@@ -152,6 +160,8 @@ def verify_thm_1_4(n: int, h: int, m: int) -> VerificationReport:
     |Norm(b)| must divide (n^r - 1)^d with r = h*m; for the bhat
     coordinate the exponent is (n-1)*dhat.  Each distinct coefficient list
     is factored once: for n = 2 the b and bhat polynomials coincide.
+
+    Numbers past 4,300 digits need the digit limit lifted (module docstring).
     """
     def witnesses():
         factored = {}
@@ -177,6 +187,8 @@ def verify_thm_3_1(
     polynomial (transient t, period h, ramification tau) has |Norm(chat)|
     dividing n.  t = 0 selects the critically periodic branch instead,
     where every factor must have |Norm(chat)| = 1.
+
+    Numbers past 4,300 digits need the digit limit lifted (module docstring).
     """
     def witnesses():
         if t == 0:
@@ -212,6 +224,8 @@ def verify_monic_structure(n: int, h: int) -> VerificationReport:
 
     P_h must be monic of degree n^h in w and monic of degree n^(h-1) in b,
     and the same must hold for P_h - N_h*w.
+
+    Numbers past 4,300 digits need the digit limit lifted (module docstring).
     """
     def witnesses():
         yield {"note": SCOPE_NOTE_MONIC}
@@ -252,6 +266,7 @@ def verify_congruences(n: int, parameter, h: int) -> VerificationReport:
     A claim that does not apply is marked so, not failed.  Verdict is
     "pass" iff every applicable certificate is an algebraic integer.
     A float parameter is refused with TypeError.
+    Numbers past 4,300 digits need the digit limit lifted (module docstring).
     """
     c = _frac(parameter)
 
@@ -295,6 +310,7 @@ def verify_dynamical_units(n: int, c, h: int) -> VerificationReport:
     The product is verified exactly in-field.  When c is an algebraic
     integer (here: an integer) each difference quotient also gets a unit
     certificate.  A float parameter is refused with TypeError.
+    Numbers past 4,300 digits need the digit limit lifted (module docstring).
     """
     c = _frac(c)
     if h < 2:
@@ -405,6 +421,8 @@ def sweep_thm_1_4(
     dynatomic degree nu(h) exceeds degree_cap, or when the degree
     D = nu(h) h (n-1) phi(m) / n of its elimination (_elimination_degree,
     as parabolic_param_poly checks it) exceeds 4 * degree_cap.
+
+    Numbers past 4,300 digits need the digit limit lifted (module docstring).
     """
     reports = []
     for n in ns:
@@ -432,7 +450,10 @@ def sweep_thm_3_1(
     sum_max: int = 6,
     gleason_h_max: int = 5,
 ) -> list[VerificationReport]:
-    """All preperiodic cells with t + h <= sum_max plus the periodic branch."""
+    """All preperiodic cells with t + h <= sum_max plus the periodic branch.
+
+    Numbers past 4,300 digits need the digit limit lifted (module docstring).
+    """
     reports = []
     for n in ns:
         for h in range(2, gleason_h_max + 1):

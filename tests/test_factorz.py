@@ -6,6 +6,7 @@ x^4 + 1 / x^4 - 10x^2 + 1 are irreducible over Z yet reducible modulo every
 prime (forcing the Hensel lift + recombination path to do real work).
 """
 
+import math
 import random
 
 import pytest
@@ -444,7 +445,7 @@ def test_hensel_lift_recovers_known_factors(p):
         G = IntPoly.const(1)
         for f in factors:
             G = G * f
-        bound = factorz._mignotte_bound(G)
+        bound = max(factorz._factor_bound(G, f.degree) for f in factors)
         mods = [_residues(f.coeffs, p) for f in factors]
         lifted, modulus = factorz._hensel_lift(G, mods, p, bound)
         assert 2 * bound < modulus <= (2 * bound) ** 2
@@ -505,7 +506,7 @@ def test_hensel_step_refuses_inputs_not_valid_mod_m():
 def test_hensel_lift_rejects_factors_not_coprime_mod_p():
     G = (x - 1) * (x - 6)  # equal mod 5
     with pytest.raises(ArithmeticError, match="not coprime"):
-        factorz._hensel_lift(G, [[4, 1], [4, 1]], 5, factorz._mignotte_bound(G))
+        factorz._hensel_lift(G, [[4, 1], [4, 1]], 5, factorz._factor_bound(G, 1))
 
 
 def test_factor_nonmonic_lifts_through_the_root_scaling(monkeypatch):
@@ -526,3 +527,107 @@ def test_factor_nonmonic_lifts_through_the_root_scaling(monkeypatch):
     fac = factor(-6 * a * b * c ** 2)
     assert fac.content == -6
     assert as_set(fac) == sorted([(a.coeffs, 1), (b.coeffs, 1), (c.coeffs, 2)])
+
+
+# ---------------------------------------------------------------------------
+# Recombination: the constant-term filter at a 64-bit lift and the
+# per-degree lift target
+
+
+def _spy_lifts(monkeypatch):
+    """Record (bound, modulus) of every _hensel_lift call."""
+    calls = []
+    real = factorz._hensel_lift
+
+    def spy(G, mods, p, bound):
+        out = real(G, mods, p, bound)
+        calls.append((bound, out[1]))
+        return out
+
+    monkeypatch.setattr(factorz, "_hensel_lift", spy)
+    return calls
+
+
+def _full_mignotte_bound(G):
+    # Mignotte's one bound for a factor of any degree: sqrt(d + 1) 2^d |G|_inf
+    return (math.isqrt(G.degree + 1) + 1) * (1 << G.degree) * max(abs(c) for c in G.coeffs)
+
+
+def test_irreducible_input_stops_at_the_64_bit_lift(monkeypatch):
+    # Selmer's x^n - x - 1 is irreducible over Q, but splits mod every
+    # candidate prime at n = 200: no subset passes the constant-term test
+    # at the first lift, which proves it irreducible below 128 bits, where
+    # the full coefficient bound is above 200 bits
+    calls = _spy_lifts(monkeypatch)
+    G = x ** 200 - x - 1
+    assert factor(G).factors == ((G, 1),)
+    assert calls == [(1 << 63, calls[0][1])]
+    assert 2 ** 64 < calls[0][1] < 2 ** 128 < _full_mignotte_bound(G)
+
+
+def test_reducible_input_factors_at_the_per_degree_target(monkeypatch):
+    # G(0) = 1, so the first lift stops near 64 bits; there only the
+    # quadratic and the cubic pass, and the quadratic's coefficient 2^200
+    # needs a second lift, to B_2 = min(B_2, B_3), far below the full bound
+    calls = _spy_lifts(monkeypatch)
+    a, b = x ** 2 + 2 ** 200 * x - 1, x ** 3 - x - 1
+    G = a * b
+    assert as_set(factor(G)) == sorted([(a.coeffs, 1), (b.coeffs, 1)])
+    bound = factorz._factor_bound(G, 2)
+    assert [c[0] for c in calls] == [1 << 63, bound]
+    assert 2 * bound < calls[1][1] and bound < factorz._factor_bound(G, 3)
+    assert bound.bit_length() < _full_mignotte_bound(G).bit_length() - 4
+
+
+def test_constant_test_needs_a_modulus_past_twice_g0(monkeypatch):
+    # N = 5^64 - 3 > 2^148, and p = 5 is the first prime seeing the fewest
+    # factors: x - N and x^4 + 1 as two quadratics.  Only the linear
+    # factor's subset is tested (the quartic's holds 2 of 3), and its
+    # constant -N needs a modulus past 2N: mod 5^64, just past N, its
+    # symmetric lift is 3, which does not divide N; without the symmetric
+    # lift it is 5^128 - N
+    calls = _spy_lifts(monkeypatch)
+    N = 5 ** 64 - 3
+    G = (x - N) * (x ** 4 + 1)
+    assert as_set(factor(G)) == sorted([((-N, 1), 1), ((1, 0, 0, 0, 1), 1)])
+    assert calls == [(N, 5 ** 128)]
+
+
+def test_recombination_tries_subsets_of_half_the_factors():
+    # Phi_8 and Phi_12 split in two mod every prime, so r = 4 at best and
+    # each factor over Z is a subset of exactly r / 2 modular factors
+    a, b = x ** 4 + 1, x ** 4 - x ** 2 + 1
+    assert as_set(factor(a * b)) == sorted([(a.coeffs, 1), (b.coeffs, 1)])
+
+
+def _swinnerton_dyer(primes):
+    """prod (x - sum of +-sqrt(p)), p in primes: F <- A^2 - p B^2 from
+    F(x + sqrt(p)) = A + sqrt(p) B."""
+    F = x
+    for p in primes:
+        A, B = IntPoly.zero(), IntPoly.zero()
+        for c in reversed(F.coeffs):  # Horner in x + sqrt(p)
+            A, B = x * A + p * B + c, A + x * B
+        F = A * A - p * B * B
+    return F
+
+
+def test_swinnerton_dyer_passes_the_filter_and_stays_irreducible(monkeypatch):
+    # SD(2,3,5,7) splits into factors of degree <= 2 mod every prime.  Its
+    # G(0) = 46,225 = 215^2, and SD(2,3,5)(-sqrt 7) = -215: a subset of
+    # its modular factors passes the constant-term test without being a
+    # factor, so trial division has to reject it
+    assert _swinnerton_dyer((2, 3)) == x ** 4 - 10 * x ** 2 + 1
+    G = _swinnerton_dyer((2, 3, 5, 7))
+    assert G.degree == 16 and G.constant == 46_225
+    trials = []
+    real = IntPoly.divmod_exact
+
+    def spy(self, other):
+        if self == G:
+            trials.append(other.degree)
+        return real(self, other)
+
+    monkeypatch.setattr(IntPoly, "divmod_exact", spy)
+    assert factor(G).factors == ((G, 1),)
+    assert 8 in trials

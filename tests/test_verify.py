@@ -1,5 +1,6 @@
 """Verification reports: witness content, verdicts, sweeps, determinism."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -470,3 +471,21 @@ def test_verdict_vocabulary():
         verify_monic_structure(2, 2),
     ]
     assert all(r.verdict in VERDICTS for r in reports)
+
+
+def test_library_callers_lift_the_digit_limit_themselves():
+    # the bound (2^199 - 1)^d of a factor of the (2, 1, 199) cell passes
+    # 4,300 digits; cli.main lifts Python's int-to-str limit for its
+    # process, the library leaves it to the caller (the caller's limit is
+    # restored here)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match="4300 digits"):
+            verify_thm_1_4(2, 1, 199)
+        sys.set_int_max_str_digits(0)
+        assert verify_thm_1_4(2, 1, 199).verdict == "pass"
+    finally:
+        sys.set_int_max_str_digits(limit)
