@@ -1,8 +1,10 @@
 """Exact factorization of integer polynomials.
 
-Zassenhaus with the usual refinements: Yun squarefree decomposition, a
-Newton-polygon irreducibility proof before any prime is chosen, prime
-selection over several candidates by Berlekamp's factor count, which
+Zassenhaus on polycore.squarefree_part(P), each factor's multiplicity read
+off by exact division of P / squarefree_part(P), with the usual
+refinements: a Newton-polygon irreducibility proof before any prime is
+chosen, prime selection over several candidates by Berlekamp's factor
+count, which
 proves irreducibility outright when some prime sees a single factor, a
 Berlekamp split over GF(p), quadratic Hensel lifting that splits the
 factor list in two and recurses, and subset recombination.  Recombination
@@ -39,6 +41,7 @@ import numpy as np
 
 from .polycore import (
     IntPoly,
+    NotDivisibleError,
     _badd,
     _bdivmod_monic,
     _bmul,
@@ -49,10 +52,10 @@ from .polycore import (
     _residues,
     _strip,
     _symmetric,
-    gcd_fast,
     poly_from_json,
     poly_to_json,
     root_scale_transform,
+    squarefree_part,
 )
 
 
@@ -439,29 +442,6 @@ def _factor_squarefree_monic(G: IntPoly) -> list[IntPoly]:
     return _recombine(G, mods, p)
 
 
-def _yun_squarefree(P: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Squarefree decomposition of a primitive positive-lc polynomial."""
-    out: list[tuple[IntPoly, int]] = []
-    g = gcd_fast(P, P.derivative())
-    if g.degree == 0:
-        return [(P, 1)]
-    w = P.divexact(g)
-    y = P.derivative().divexact(g)
-    i = 1
-    while w.degree > 0:
-        z = y - w.derivative()
-        if z.is_zero:
-            out.append((w.primitive_part(), i))
-            break
-        f_i = gcd_fast(w, z).primitive_part()
-        if f_i.degree > 0:
-            out.append((f_i, i))
-        w = w.divexact(f_i)
-        y = z.divexact(f_i)
-        i += 1
-    return out
-
-
 def factor(F: IntPoly) -> Factorization:
     """Full factorization over Z, deterministic factor order.
 
@@ -478,17 +458,25 @@ def factor(F: IntPoly) -> Factorization:
     P = F.primitive_part()
     if P.degree == 0:
         return Factorization(content, ())
+    sq = squarefree_part(P)
+    rest = P.divexact(sq)
+    # _factor_squarefree_primitive needs G(0) != 0, so x is split off first
+    if sq.constant:
+        irreducibles = _factor_squarefree_primitive(sq)
+    else:
+        x = IntPoly.gen(P.var)
+        irreducibles = [x] + _factor_squarefree_primitive(sq.divexact(x))
     pairs: list[tuple[IntPoly, int]] = []
-    # strip powers of the variable
-    k = 0
-    while P.coeff(k) == 0:
-        k += 1
-    if k:
-        pairs.append((IntPoly.gen(P.var), k))
-        P = IntPoly(P.coeffs[k:], P.var)
-    for sq, mult in _yun_squarefree(P) if P.degree > 0 else []:
-        for irr in _factor_squarefree_primitive(sq):
-            pairs.append((irr, mult))
+    for irr in irreducibles:
+        # irr divides sq once and rest = P / sq the other mult - 1 times
+        mult = 1
+        while rest.degree >= irr.degree:
+            try:
+                rest = rest.divexact(irr)
+            except NotDivisibleError:
+                break
+            mult += 1
+        pairs.append((irr, mult))
     pairs.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     result = Factorization(content, tuple(pairs))
     if result.expand() != F:

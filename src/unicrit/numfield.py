@@ -1,11 +1,14 @@
 """Exact arithmetic in Q[x]/(m(x)) and integrality certificates.
 
 A NumberField is Q[x] modulo a monic irreducible rational polynomial;
-elements are rational coordinate vectors in the power basis.  On top of
-that sit the certificates this package actually cares about (minimal
-polynomials, norms and traces, algebraic-integer and unit verdicts) and
-the periodic orbits of z^n + c at rational parameters as field elements,
-from which verify builds the multiplier congruences and dynamical units.
+elements are rational coordinate vectors in the power basis.  A product
+clears both operands' denominators, multiplies once over Z (polycore's
+_zmul) and reduces by one pseudo-remainder against the cleared modulus.
+On top of that sit the certificates this package actually cares about
+(minimal polynomials, norms and traces, algebraic-integer and unit
+verdicts) and the periodic orbits of z^n + c at rational parameters as
+field elements, from which verify builds the multiplier congruences and
+dynamical units.
 
 No integral bases, no ideal arithmetic: integrality is always certified
 through the minimal polynomial, which keeps everything elementary and
@@ -26,7 +29,7 @@ from typing import Sequence
 
 from .dynmaps import dynatomic
 from .factorz import factor
-from .polycore import _MEMO_SIZE, BiPoly, IntPoly, _power, _strip, resultant, squarefree_part
+from .polycore import _MEMO_SIZE, BiPoly, IntPoly, _power, _strip, poly_to_json, resultant, squarefree_part
 
 __all__ = [
     "FieldElement",
@@ -57,6 +60,12 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("rational input required, not float")
     return Fraction(x)
+
+
+def _clear(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, D * coeffs), D > 0 the lcm of the denominators (1 for none)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,7 @@ class RatPoly:
 
     def cleared(self) -> IntPoly:
         """Smallest positive integer multiple with integer coefficients."""
-        if self.is_zero:
-            return IntPoly.zero(self.var)
-        scale = math.lcm(*(c.denominator for c in self.coeffs))
-        return IntPoly(tuple(int(c * scale) for c in self.coeffs), self.var)
+        return IntPoly(_clear(self.coeffs)[1], self.var)
 
     def to_intpoly(self) -> IntPoly:
         if not self.is_integral:
@@ -109,7 +115,7 @@ class RatPoly:
         return IntPoly(tuple(int(c) for c in self.coeffs), self.var)
 
     def to_json(self) -> dict:
-        return {"var": self.var, "coeffs": [str(c) for c in self.coeffs]}
+        return poly_to_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "RatPoly":
@@ -218,15 +224,15 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other) -> "FieldElement":
-        o = self._coerce(other)
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        conv[i + j] += a * b
-        return FieldElement(self.field, _reduce_coords(conv, self.field.modulus))
+        # (a / da) (b / db) with integer a, b: a b is one _zmul product, and
+        # its pseudo-remainder by the cleared modulus M is lc(M)^k a b mod M
+        da, a = _clear(self.coords)
+        db, b = _clear(self._coerce(other).coords)
+        M = self.field.modulus.cleared()
+        ab = IntPoly(a) * IntPoly(b)
+        k = max(ab.degree - M.degree + 1, 0)
+        den = da * db * M.lc ** k
+        return self.field.element([Fraction(c, den) for c in ab.pseudo_rem(M).coeffs])
 
     __rmul__ = __mul__
 
@@ -243,21 +249,6 @@ class FieldElement:
 
     def __pow__(self, e: int) -> "FieldElement":
         return _power(self, e, self.field.one())
-
-
-def _reduce_coords(conv: list[Fraction], modulus: RatPoly) -> tuple[Fraction, ...]:
-    """Reduce a raw convolution modulo the monic modulus."""
-    d = modulus.degree
-    rem = list(conv)
-    for i in range(len(rem) - 1, d - 1, -1):
-        q = rem[i]
-        if q:
-            for j in range(d):
-                rem[i - d + j] -= q * modulus.coeffs[j]
-        rem[i] = Fraction(0)
-    rem = rem[:d]
-    rem += [Fraction(0)] * (d - len(rem))
-    return tuple(rem)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +270,7 @@ def _char_poly(e: FieldElement) -> RatPoly:
         r = e.coords[0]
         char = IntPoly((-r.numerator, r.denominator), "y") ** d
     else:
-        den = math.lcm(*(c.denominator for c in e.coords))
-        E = _strip([int(c * den) for c in e.coords])
+        den, E = _clear(e.coords)
         M = BiPoly(tuple((a,) for a in e.field.modulus.cleared().coeffs), "x", "y")
         N = BiPoly(((-E[0], den),) + tuple((-a,) for a in E[1:]), "x", "y")
         char = resultant(M, N, eliminate="x")

@@ -8,7 +8,7 @@ integers, with the elimination toolkit the rest of the package is built on:
   bounds (the two routes cross-check each other in the test suite);
 * primitive gcd via the subresultant PRS, whose one loop also serves the
   resultant, and a certified modular gcd, which squarefree_part uses;
-* cyclotomic polynomials, the Moebius function;
+* cyclotomic polynomials, the Moebius and Euler phi functions;
 * root transforms (alpha -> alpha^k as a norm determinant, and
   alpha -> s*alpha).
 
@@ -22,13 +22,15 @@ Every other elimination takes the exact subresultant PRS, which needs no
 bound.  gcd_fast certifies what it returns, and product_equals compares an
 exact product.
 
-Every polynomial product, over Z or Z/m, univariate or bivariate, is one
-call of _zmul: schoolbook for short factors, one big-integer product by
-Kronecker substitution for longer ones.  A BiPoly product lays its rows end
-to end at a stride no row product can overrun, and a BiPoly quotient is one
-IntPoly division in the same flat layout.  Every power, of an IntPoly, a
-BiPoly, a number-field element or a vector of GF(p) scalars, is one call
-of _power, the package's one square-and-multiply loop.
+Every polynomial product, over Z, Z/m or a number field Q[x]/(m),
+univariate or bivariate, is one call of _zmul: schoolbook for short
+factors, one big-integer product by Kronecker substitution for longer
+ones; a number-field product is then one IntPoly.pseudo_rem.  A BiPoly
+product lays its rows end to end at a stride no row product can overrun,
+and a BiPoly sum or quotient is one IntPoly sum or division in the same
+flat layout.  Every power, of an IntPoly, a BiPoly, a number-field
+element or a vector of GF(p) scalars, is one call of _power, the
+package's one square-and-multiply loop.
 
 The modular kernel section is the package's one copy of coefficient-list
 arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
@@ -71,6 +73,23 @@ _MEMO_SIZE = 128
 # number-theory helpers
 
 
+def _prime_powers(k: int) -> list[tuple[int, int]]:
+    """The pairs (p, e), p ascending, with k = prod p^e, by trial division."""
+    out = []
+    p = 2
+    while p * p <= k:
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if k > 1:
+        out.append((k, 1))
+    return out
+
+
 def moebius(k: int) -> int:
     """Moebius function.
 
@@ -79,34 +98,14 @@ def moebius(k: int) -> int:
     """
     if k < 1:
         raise ValueError("moebius is defined for k >= 1")
-    result = 1
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            result = -result
-        d += 1 if d == 2 else 2
-    if k > 1:
-        result = -result
-    return result
+    pes = _prime_powers(k)
+    return 0 if any(e > 1 for _, e in pes) else (-1) ** len(pes)
 
 
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("euler_phi is defined for m >= 1")
-    result = m
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _prime_powers(m))
 
 
 def _is_prime(n: int) -> bool:
@@ -214,8 +213,8 @@ def _crt(acc: list[int], m: int, img: list[int], p: int) -> tuple[list[int], int
 def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product over Z of two ascending coefficient sequences of any sign.
 
-    The package's one convolution: IntPoly, BiPoly and Z/m products all
-    call it.
+    The package's one convolution: IntPoly, BiPoly, Z/m and number-field
+    products all call it.
     """
     if not a or not b:
         return []
@@ -826,14 +825,13 @@ class BiPoly:
         if isinstance(other, int):
             other = BiPoly.const(other, self.outer, self.inner)
         self._check_same(other)
-        nr = max(len(self.rows), len(other.rows))
-        nc = max(self.degree(self.inner), other.degree(other.inner)) + 1
-        out = [[0] * nc for _ in range(nr)]
-        for src in (self.rows, other.rows):
-            for i, r in enumerate(src):
-                for j, v in enumerate(r):
-                    out[i][j] += v
-        return BiPoly(out, self.outer, self.inner)
+        # one IntPoly sum in the flat layout at the wider operand's width,
+        # which is 1 when both are zero
+        width = max(self.degree(self.inner), other.degree(other.inner), 0) + 1
+        flat = (IntPoly(self._flat(width)) + IntPoly(other._flat(width))).coeffs
+        return BiPoly(
+            [flat[i : i + width] for i in range(0, len(flat), width)], self.outer, self.inner
+        )
 
     __radd__ = __add__
 

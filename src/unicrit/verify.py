@@ -25,7 +25,6 @@ caller outside `cli.main` whose cells reach such numbers, such as
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .dynmaps import (
     parabolic_param_poly,
     periodicity_poly,
 )
-from .dynmaps import _dynatomic_degree, _elimination_degree, _strip_factors
+from .dynmaps import _divisors, _dynatomic_degree, _elimination_degree, _strip_factors
 from .factorz import _norm_unchecked, factor
 from .numfield import (
     FieldElement,
@@ -56,7 +55,6 @@ __all__ = [
     "SWEEP_DEGREE_CAP",
     "VerificationReport",
     "galois_experiment",
-    "report_json",
     "sweep_thm_1_4",
     "sweep_thm_3_1",
     "sweep_verdict",
@@ -91,11 +89,6 @@ class VerificationReport:
             "verdict": self.verdict,
             "elapsed_ms": self.elapsed_ms if timings else 0,
         }
-
-
-def report_json(report: VerificationReport, timings: bool = False) -> str:
-    """Canonical serialized form; deterministic for identical inputs."""
-    return json.dumps(report.to_json(timings=timings), sort_keys=True)
 
 
 def _report(claim: str, cell: dict, witnesses) -> VerificationReport:
@@ -347,9 +340,7 @@ def _stratified_parabolic(n: int, h: int, m: int) -> IntPoly:
     poly = parabolic_param_poly(n, h, m, "chat").poly
     if m > 1 or h == 1:
         return poly
-    for h2 in range(1, h):
-        if h % h2:
-            continue
+    for h2 in _divisors(h)[:-1]:
         lower = parabolic_param_poly(n, h2, h // h2, "chat").poly
         poly = _strip_factors(poly, lower)
     return poly
@@ -427,9 +418,7 @@ def sweep_thm_1_4(
     reports = []
     for n in ns:
         for r in range(1, r_max + 1):
-            for h in range(1, r + 1):
-                if r % h:
-                    continue
+            for h in _divisors(r):
                 m = r // h
                 degree = _dynatomic_degree(n, h)
                 D = _elimination_degree(n, h, euler_phi(m), degree)

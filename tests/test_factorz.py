@@ -111,6 +111,29 @@ def test_factor_multiplicities():
     assert as_set(fac) == [((-3, 1), 2), ((7, 1, 1), 3)]
 
 
+def test_factor_multiplicities_with_powers_of_x():
+    # x divides the squarefree part once and so is split off before the
+    # squarefree factoring; every multiplicity is 1 plus the number of times
+    # the factor divides P / squarefree_part(P)
+    f = -12 * x ** 3 * (x + 1) ** 5 * (2 * x - 3) ** 2 * (x ** 2 + x + 7)
+    fac = factor(f)
+    assert fac.content == -12
+    assert [(p.coeffs, m) for p, m in fac.factors] == [
+        ((-3, 2), 2), ((0, 1), 3), ((1, 1), 5), ((7, 1, 1), 1),
+    ]
+    fac = factor((x ** 2 - 2) ** 7)
+    assert fac.content == 1
+    assert [(p.coeffs, m) for p, m in fac.factors] == [((-2, 0, 1), 7)]
+    assert [(p.coeffs, m) for p, m in factor(x ** 4).factors] == [((0, 1), 4)]
+    # x^4 + 1 splits mod every prime, and the constant-term filter cannot
+    # find x, whose constant is 0: left with x, recombination calls x^5 + x
+    # irreducible
+    assert [(p.coeffs, m) for p, m in factor(x ** 2 * (x ** 4 + 1)).factors] == [
+        ((0, 1), 2), ((1, 0, 0, 0, 1), 1),
+    ]
+    assert [(p.coeffs, m) for p, m in factor(x * (x - 5)).factors] == [((-5, 1), 1), ((0, 1), 1)]
+
+
 def test_factor_nonmonic():
     a = IntPoly((3, 2))  # 2x + 3
     b = IntPoly((5, 0, 3))  # 3x^2 + 5, Eisenstein at 5

@@ -12,7 +12,6 @@ from unicrit.numfield import (
     ParabolicCollisionError,
     RatPoly,
     _char_poly,
-    _reduce_coords,
     is_algebraic_integer,
     is_unit,
     minimal_polynomial,
@@ -44,6 +43,8 @@ def test_ratpoly_basics():
     assert not p.is_integral
     assert p.cleared() == IntPoly((2, 0, 1), "x")
     assert rat(3, 1).to_intpoly() == IntPoly((3, 1), "x")
+    assert list(p.to_json().items()) == [("var", "x"), ("coeffs", ["1", "0", "1/2"])]
+    assert RatPoly.from_json(p.to_json()) == p
     with pytest.raises(ValueError):
         p.to_intpoly()
     # trailing zero coefficients are stripped
@@ -88,6 +89,33 @@ def test_element_arithmetic():
         x / 0
 
 
+def test_product_matches_the_reference_reduction():
+    # monic moduli whose cleared forms 6x^3 + 3x + 2 and 10x^4 - 5x^2 + 2x + 5
+    # have lc > 1; products of full-degree elements reach degree 2d - 2 >= d + 1,
+    # so their pseudo-remainders carry lc^k with k up to d - 1
+    rng = random.Random(99)
+    fields = (
+        NumberField(rat(Fraction(1, 3), Fraction(1, 2), 0, 1)),
+        NumberField(rat(Fraction(1, 2), Fraction(1, 5), Fraction(-1, 2), 0, 1)),
+        GOLDEN,
+        RATIONALS,
+    )
+    for field in fields:
+        d = field.degree
+        for _ in range(15):
+            a, b = (
+                field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d - 1)]
+                              + [Fraction(rng.randint(1, 9), rng.randint(1, 6))])
+                for _ in range(2)
+            )
+            conv = [Fraction(0)] * (2 * d - 1)
+            for i, u in enumerate(a.coords):
+                for j, v in enumerate(b.coords):
+                    conv[i + j] += u * v
+            assert (a * b).coords == _reduce_coords(conv, field.modulus)
+            assert (a * 3).coords == tuple(3 * c for c in a.coords)
+
+
 def test_minimal_polynomial_examples():
     x = GAUSS.generator()
     assert minimal_polynomial(x).coeffs == fracs(1, 0, 1)
@@ -110,6 +138,22 @@ def test_minimal_polynomial_annihilates():
         for c in reversed(mp.coeffs):
             val = val * e + c
         assert val == QUARTIC.zero()
+
+
+def _reduce_coords(conv, modulus):
+    """Reference reduction of a raw convolution modulo the monic modulus,
+    coefficient by coefficient over Q."""
+    d = modulus.degree
+    rem = list(conv)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q = rem[i]
+        if q:
+            for j in range(d):
+                rem[i - d + j] -= q * modulus.coeffs[j]
+        rem[i] = Fraction(0)
+    rem = rem[:d]
+    rem += [Fraction(0)] * (d - len(rem))
+    return tuple(rem)
 
 
 def faddeev_leverrier(e):

@@ -677,6 +677,20 @@ def test_moebius_table_and_sum():
         assert total == (1 if m == 1 else 0)
 
 
+def test_moebius_and_euler_phi_match_their_definitions():
+    # mu(k) = 0 when a square p^2 divides k, else (-1)^(number of primes);
+    # phi(k) counts the j in 1..k coprime to k
+    top = 5000
+    mu = [1] * (top + 1)
+    for p in range(2, top + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            mu[p::p] = [-v for v in mu[p::p]]
+            mu[p * p :: p * p] = [0] * len(mu[p * p :: p * p])
+    for k in range(1, top + 1):
+        assert moebius(k) == mu[k], k
+        assert euler_phi(k) == np.count_nonzero(np.gcd(np.arange(1, k + 1), k) == 1), k
+
+
 def test_cyclotomic_product_identity():
     for m in range(1, 31):
         prod = IntPoly.const(1)
@@ -721,6 +735,22 @@ def test_bipoly_ring_identities():
         assert (a * b).eval_point(c0, z0) == a.eval_point(c0, z0) * b.eval_point(c0, z0)
         assert (a + b).eval_point(c0, z0) == a.eval_point(c0, z0) + b.eval_point(c0, z0)
         assert ((a + b) - b).rows == a.rows
+
+
+def test_bipoly_sum_cancels_the_top_row_and_takes_the_wider_width():
+    c = BiPoly.gen("c", "c", "z")
+    z = BiPoly.gen("z", "c", "z")
+    # the top row cancels, and so do the top terms of the flat sum
+    assert (c * z ** 2 + z) + (c + -(c * z ** 2)) == c + z
+    assert ((c ** 2 * z + c) + (-(c ** 2 * z) + 1)).rows == ((1,), (1,))
+    assert (c * z + c) + (-(c * z) - c) == BiPoly.zero("c", "z")
+    # a wider operand on either side: the sum is laid out at its width
+    narrow, wide = c ** 2 + z, 3 * z ** 4 + c * z ** 3 - 1
+    expected = BiPoly(((-1, 1, 0, 0, 3), (0, 0, 0, 1, 0), (1, 0, 0, 0, 0)), "c", "z")
+    assert narrow + wide == expected
+    assert wide + narrow == expected
+    assert BiPoly.zero("c", "z") + wide == wide
+    assert narrow + 5 == c ** 2 + z + BiPoly.const(5, "c", "z")
 
 
 def test_bipoly_binomial_square():

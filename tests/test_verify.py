@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from unicrit import verify
+from unicrit import cli, verify
 from unicrit.dynmaps import DegreeCapError, SpecialCaseError
 from unicrit.numfield import ParabolicCollisionError, is_unit, periodic_orbit_in_field
 from unicrit.verify import (
     VerificationReport,
     galois_experiment,
-    report_json,
     sweep_thm_1_4,
     sweep_thm_3_1,
     sweep_verdict,
@@ -23,6 +22,11 @@ from unicrit.verify import (
 )
 
 VERDICTS = {"pass", "fail", "incomplete", "not_applicable", "parabolic_collision"}
+
+
+def report_json(report):
+    """The document the CLI prints for a report."""
+    return cli._dumps(report.to_json())
 
 
 def coeffs(witness):

@@ -31,10 +31,10 @@ import sys
 from pathlib import Path
 
 # (stage, the factorz function it times); `factor` keeps what no other
-# stage takes: power stripping, Yun's decomposition, the root scaling of a
-# non-monic input and the re-multiplication check
+# stage takes: the squarefree part, the multiplicities, the root scaling of
+# a non-monic input and the re-multiplication check
 STAGES = (
-    ("factor: Yun, scaling, self-check", "factor"),
+    ("factor: squarefree part, multiplicities, scaling, self-check", "factor"),
     ("squarefree monic", "_factor_squarefree_monic"),
     ("Newton polygon", "_newton_polygon_irreducible"),
     ("prime choice", "_candidate_primes"),
