@@ -245,15 +245,14 @@ def _report_doc(ns, report):
     return report.to_json(timings=getattr(ns, "timings", False))
 
 
-# the flags each sweep claim reads; its cache key names only these
-_SWEEP_READS = {"thm14": ("ns", "r_max", "degree_cap"), "thm31": ("ns", "sum_max", "gleason_h_max")}
+# each sweep claim's function and its parameters, the only flags its cache key names
+_SWEEPS = {"thm14": (sweep_thm_1_4, ("ns", "r_max", "degree_cap")),
+           "thm31": (sweep_thm_3_1, ("ns", "sum_max", "gleason_h_max"))}
 
 
 def _verify_sweep(ns):
-    if ns.claim == "thm14":
-        reports = sweep_thm_1_4(ns=ns.ns, r_max=ns.r_max, degree_cap=ns.degree_cap)
-    else:
-        reports = sweep_thm_3_1(ns=ns.ns, sum_max=ns.sum_max, gleason_h_max=ns.gleason_h_max)
+    sweep, flags = _SWEEPS[ns.claim]
+    reports = sweep(**{flag: getattr(ns, flag) for flag in flags})
     return {"claim": ns.claim, "verdict": sweep_verdict(reports),
             "reports": [_report_doc(ns, r) for r in reports]}
 
@@ -420,7 +419,7 @@ COMMANDS = (
                   "help": "comma-separated degrees n"}),
         _opt("--r-max", 6), _opt("--sum-max", 6), _opt("--gleason-h-max", 5),
         _opt("--degree-cap", SWEEP_DEGREE_CAP),
-    ), timings=True, reads=lambda ns: ("claim",) + _SWEEP_READS[ns.claim]),
+    ), timings=True, reads=lambda ns: ("claim",) + _SWEEPS[ns.claim][1]),
     Command("ray/trace", cmd_ray_trace, _ints("--n") + (
         _ANGLE, _opt("--potential-start", 32.0, float), _opt("--potential-end", 1e-8, float),
         _opt("--steps-per-halving", 12), _opt("--precision-bits", 256),

@@ -4,14 +4,13 @@ Zassenhaus on polycore.squarefree_part(P), each factor's multiplicity read
 off by exact division of P / squarefree_part(P), with the usual
 refinements: a Newton-polygon irreducibility proof before any prime is
 chosen, prime selection over several candidates by Berlekamp's factor
-count, which
-proves irreducibility outright when some prime sees a single factor, a
-Berlekamp split over GF(p), quadratic Hensel lifting that splits the
-factor list in two and recurses, and subset recombination.  Recombination
-keeps a subset only when its constant term, read at a lift past
-2 max(2^63, |G(0)|), divides G(0), a proven filter that settles most
-inputs as irreducible at that first lift; each surviving subset is lifted
-only as far as Mignotte's bound for its degree, or its complement's, needs.
+count, which proves irreducibility outright when some prime sees a single
+factor, a Berlekamp split over GF(p), one quadratic Hensel lift over a
+tree of splits, and subset recombination.  Recombination keeps a subset
+only when its constant term, read at a lift past 2 max(2^63, |G(0)|),
+divides G(0), a proven filter that settles most inputs as irreducible at
+that first lift; the same lift then resumes only as far as Mignotte's
+bound for a surviving subset's degree, or its complement's, needs.
 A non-monic input is factored through its monic root scaling.  Output
 order is deterministic: (degree, coefficients).  Nothing is random.
 
@@ -254,41 +253,50 @@ def _hensel_step(f, g, h, s, t, m):
     return g1, h1, s1, t1
 
 
-def _hensel_lift(G: IntPoly, factors_p: list[list[int]], p: int, bound: int) -> tuple[list[list[int]], int]:
-    """Lift the monic factorization G == prod(factors_p) mod p until the
-    modulus passes 2*bound; the lifted factors, in order, and the modulus.
+def _hensel_lift(G: IntPoly, factors_p: list[list[int]], p: int):
+    """The lift of the monic factorization G == prod(factors_p) mod p: a
+    function that lifts until the modulus passes 2*bound, resuming where
+    its last call stopped, and returns the lifted factors, in order, and
+    the modulus.
 
-    r >= 2 factors split in two: g, the product of the first 2^k, 2^k the
-    largest power of two below r, and h, the product of the rest.  The
-    pair is lifted by _hensel_step through p, p^2, p^4, ..., and each part
-    then splits and lifts the same way against its own lifted product.  A
-    coprime monic factorization mod p has exactly one monic lift, so the
-    split order does not change the output.
+    Factors i .. j-1, j - i >= 2, split at k, i + 2^l, 2^l the largest
+    power of two below j - i; the splits and their Bezout pairs mod p are
+    built once, here, so factors not coprime mod p raise at once.  A step
+    m -> m^2 lifts every split, root first, each against its parent's part
+    just lifted (von zur Gathen-Gerhard, Modern Computer Algebra, 15.5).
+    A coprime monic factorization mod p has one monic lift, so the split
+    order does not change the output.
     """
-    moduli = [p]
-    while moduli[-1] <= 2 * bound:
-        moduli.append(moduli[-1] ** 2)
+    r = len(factors_p)
+    parts = {(0, r): _residues(G.coeffs, p)}  # (i, j): factors i .. j-1 lifted
+    bezout, todo = {}, [(0, r)]  # bezout: (i, k, j) splits, parents first
+    for i, j in todo:
+        if j - i > 1:
+            k = i + (1 << ((j - i - 1).bit_length() - 1))
+            g, h = _product(factors_p[i:k], p), _product(factors_p[k:j], p)
+            parts[i, k], parts[k, j], bezout[i, k, j] = g, h, _bezout(g, h, p)
+            todo += [(i, k), (k, j)]
+    modulus = p
 
-    def lift(F: list[int], fs: list[list[int]]) -> list[list[int]]:
-        if len(fs) == 1:
-            return [F]
-        k = 1 << ((len(fs) - 1).bit_length() - 1)
-        g, h = _product(fs[:k], p), _product(fs[k:], p)
-        s, t = _bezout(g, h, p)
-        for m in moduli[:-1]:
-            g, h, s, t = _hensel_step(_residues(F, m * m), g, h, s, t, m)
-        return lift(g, fs[:k]) + lift(h, fs[k:])
+    def lift(bound: int) -> tuple[list[list[int]], int]:
+        nonlocal modulus
+        while modulus <= 2 * bound:
+            m, modulus = modulus, modulus * modulus
+            parts[0, r] = _residues(G.coeffs, modulus)
+            for (i, k, j), (s, t) in bezout.items():
+                parts[i, k], parts[k, j], s, t = _hensel_step(parts[i, j], parts[i, k], parts[k, j], s, t, m)
+                bezout[i, k, j] = s, t
+        out = [parts[i, i + 1] for i in range(r)]
+        if _product(out, modulus) != parts[0, r]:
+            raise ArithmeticError("hensel lift drifted")
+        return out, modulus
 
-    modulus = moduli[-1]
-    out = lift(_residues(G.coeffs, modulus), factors_p)
-    if _product(out, modulus) != _residues(G.coeffs, modulus):
-        raise ArithmeticError("hensel lift drifted")
-    return out, modulus
+    return lift
 
 
 # ---------------------------------------------------------------------------
-# Recombination: a constant-term filter at a 64-bit lift, then a lift only as
-# far as the surviving subsets need
+# Recombination: a constant-term filter at a 64-bit lift, resumed only as far
+# as the surviving subsets need
 
 
 def _factor_bound(G: IntPoly, k: int) -> int:
@@ -303,15 +311,16 @@ def _recombine(G: IntPoly, mods: list[list[int]], p: int) -> list[IntPoly]:
     """The irreducible factors of squarefree monic G with G(0) != 0, from
     its r coprime monic irreducible factors mods over GF(p).
 
-    The factors are first lifted to a modulus m0 > 2 max(2^63, |G(0)|),
-    and a subset S of the factors left, of at most half of them, passes
-    when the symmetric lift of the product of their constant terms mod m0
-    is nonzero and divides g(0), g the part of G not yet split off.  A
-    factor h of g always has a subset that passes:
+    One lift of the factors (_hensel_lift) serves every test: it first
+    runs until its modulus m passes 2 max(2^63, |G(0)|), and later sizes
+    resume it, so m only grows.  A subset S of the factors left, of at
+    most half of them, passes when the symmetric lift of the product of
+    their constant terms mod m is nonzero and divides g(0), g the part of
+    G not yet split off.  A factor h of g always has a subset that passes:
     - a monic factor h of g has h(0) | g(0) | G(0), and |h(0)| <= |G(0)|
       as G(0) != 0;
-    - Hensel lifts are unique, so h is the product of its subset mod m0,
-      and |h(0)| < m0 / 2 makes the symmetric lift h(0) itself;
+    - Hensel lifts are unique, so h is the product of its subset mod m,
+      and |h(0)| < m / 2 makes the symmetric lift h(0) itself;
     - of any split of g, one side holds at most half of g's factors.
     So when no subset passes, g is irreducible, whatever the coefficient
     bound (the trailing-coefficient test of Abbott-Shoup-Zimmermann,
@@ -320,20 +329,20 @@ def _recombine(G: IntPoly, mods: list[list[int]], p: int) -> list[IntPoly]:
     Subsets are tried by size, smallest first, so each factor found is
     irreducible; a factor of g met later in a size's pass divides g at its
     start, so one pass over each size's survivors finds them all.  At each
-    size the survivors are lifted once, as far as the largest of their
-    targets min(B_k, B_(e-k)) needs, with B_k = _factor_bound(G, k), k the
-    degree of S and e that of g.  A factor of g of degree k, and its
-    cofactor of degree e - k, both divide G, so the side with the smaller
-    bound, S or the rest, is its exact symmetric lift once the modulus
-    passes twice that bound; it is trial-divided into g.  Since B is
-    nondecreasing in k, no target passes B_(e // 2).
+    size the lift resumes at most once, as far as the largest of the
+    survivors' targets min(B_k, B_(e-k)) needs, with B_k =
+    _factor_bound(G, k), k the degree of S and e that of g.  A factor of g
+    of degree k, and its cofactor of degree e - k, both divide G, so the
+    side with the smaller bound, S or the rest, is its exact symmetric
+    lift once the modulus passes twice that bound; it is trial-divided
+    into g.  Since B is nondecreasing in k, no target passes B_(e // 2).
     """
-    low, m0 = _hensel_lift(G, mods, p, max(1 << 63, abs(G.constant)))
-    lifted, modulus = low, m0
+    lift = _hensel_lift(G, mods, p)
+    lifted, modulus = lift(max(1 << 63, abs(G.constant)))
     remaining, g_rem, found = list(range(len(mods))), G, []
 
     def side(S):  # the subset to rebuild, S or the rest, and its bound
-        k = sum(len(low[i]) - 1 for i in S)
+        k = sum(len(mods[i]) - 1 for i in S)
         b, b_rest = _factor_bound(G, k), _factor_bound(G, g_rem.degree - k)
         if b <= b_rest:
             return S, b
@@ -343,13 +352,13 @@ def _recombine(G: IntPoly, mods: list[list[int]], p: int) -> list[IntPoly]:
     while 2 * size <= len(remaining):
         survivors = []
         for S in itertools.combinations(remaining, size):
-            (c,) = _symmetric([math.prod(low[i][0] for i in S) % m0], m0)
+            (c,) = _symmetric([math.prod(lifted[i][0] for i in S) % modulus], modulus)
             if c and g_rem.constant % c == 0:
                 survivors.append(S)
         if survivors:
             target = max(side(S)[1] for S in survivors)
             if modulus <= 2 * target:
-                lifted, modulus = _hensel_lift(G, mods, p, target)
+                lifted, modulus = lift(target)
         for S in survivors:
             if 2 * size > len(remaining):
                 break  # g is irreducible: any split has a side below this size

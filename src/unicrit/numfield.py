@@ -3,12 +3,12 @@
 A NumberField is Q[x] modulo a monic irreducible rational polynomial;
 elements are rational coordinate vectors in the power basis.  A product
 clears both operands' denominators, multiplies once over Z (polycore's
-_zmul) and reduces by one pseudo-remainder against the cleared modulus.
-On top of that sit the certificates this package actually cares about
-(minimal polynomials, norms and traces, algebraic-integer and unit
-verdicts) and the periodic orbits of z^n + c at rational parameters as
-field elements, from which verify builds the multiplier congruences and
-dynamical units.
+_zmul) and reduces by one pseudo-remainder against the cleared modulus,
+which each field clears once and keeps.  On top of that sit the
+certificates this package actually cares about (minimal polynomials,
+norms and traces, algebraic-integer and unit verdicts) and the periodic
+orbits of z^n + c at rational parameters as field elements, from which
+verify builds the multiplier congruences and dynamical units.
 
 No integral bases, no ideal arithmetic: integrality is always certified
 through the minimal polynomial, which keeps everything elementary and
@@ -22,13 +22,13 @@ functions pure.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .dynmaps import dynatomic
-from .factorz import factor
+from .factorz import factor, is_irreducible
 from .polycore import _MEMO_SIZE, BiPoly, IntPoly, _power, _strip, poly_to_json, resultant, squarefree_part
 
 __all__ = [
@@ -59,7 +59,7 @@ class ParabolicCollisionError(ValueError):
 def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("rational input required, not float")
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _clear(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -135,17 +135,17 @@ class NumberField:
 
     modulus: RatPoly
     check: InitVar[bool] = True
+    # the modulus times the lcm of its denominators, outside eq and hash
+    cleared: IntPoly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, check: bool) -> None:
         if self.modulus.degree < 1:
             raise ValueError("modulus must have degree >= 1")
         if not self.modulus.is_monic:
             raise ValueError("modulus must be monic")
-        if check and self.modulus.degree > 1:
-            from .factorz import is_irreducible
-
-            if not is_irreducible(self.modulus.cleared()):
-                raise ValueError("modulus must be irreducible over Q")
+        object.__setattr__(self, "cleared", self.modulus.cleared())
+        if check and self.modulus.degree > 1 and not is_irreducible(self.cleared):
+            raise ValueError("modulus must be irreducible over Q")
 
     @property
     def degree(self) -> int:
@@ -156,11 +156,10 @@ class NumberField:
         return self.modulus.var
 
     def element(self, coords: Sequence) -> "FieldElement":
-        cs = [_frac(c) for c in coords]
+        cs = tuple(coords)  # FieldElement converts each coordinate
         if len(cs) > self.degree:
             raise ValueError("coordinate vector longer than field degree")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        return FieldElement(self, cs + (Fraction(0),) * (self.degree - len(cs)))
 
     def zero(self) -> "FieldElement":
         return self.element(())
@@ -175,7 +174,7 @@ class NumberField:
         return self.element((0, 1))
 
     def from_rational(self, r) -> "FieldElement":
-        return self.element((_frac(r),))
+        return self.element((r,))
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ class FieldElement:
         # its pseudo-remainder by the cleared modulus M is lc(M)^k a b mod M
         da, a = _clear(self.coords)
         db, b = _clear(self._coerce(other).coords)
-        M = self.field.modulus.cleared()
+        M = self.field.cleared
         ab = IntPoly(a) * IntPoly(b)
         k = max(ab.degree - M.degree + 1, 0)
         den = da * db * M.lc ** k
@@ -271,7 +270,7 @@ def _char_poly(e: FieldElement) -> RatPoly:
         char = IntPoly((-r.numerator, r.denominator), "y") ** d
     else:
         den, E = _clear(e.coords)
-        M = BiPoly(tuple((a,) for a in e.field.modulus.cleared().coeffs), "x", "y")
+        M = BiPoly(tuple((a,) for a in e.field.cleared.coeffs), "x", "y")
         N = BiPoly(((-E[0], den),) + tuple((-a,) for a in E[1:]), "x", "y")
         char = resultant(M, N, eliminate="x")
     return RatPoly(tuple(Fraction(c, char.lc) for c in char.coeffs), "y")
@@ -375,8 +374,7 @@ def periodic_orbit_in_field(n: int, c, h: int) -> list[OrbitInField]:
     phi = dynatomic(n, h)
     cols = phi.as_univariate_in("z")
     spec = RatPoly(tuple(Fraction(p(c)) for p in cols), "z")
-    cleared = spec.cleared()
-    fac = factor(cleared)
+    fac = factor(spec.cleared())
     if any(mult >= 2 for _, mult in fac.factors):
         raise ParabolicCollisionError(
             f"dynatomic polynomial has a repeated root at c = {c}"
@@ -399,9 +397,7 @@ def periodic_orbit_in_field(n: int, c, h: int) -> list[OrbitInField]:
             points.append(cur)
         if points[-1] ** n + c != z1:
             raise ArithmeticError("orbit failed to close after h steps")
-        prod = fld.one()
-        for z in points:
-            prod = prod * z
+        prod = math.prod(points, start=fld.one())
         multiplier = (prod ** (n - 1)) * Fraction(n) ** h
         orbits.append(OrbitInField(n, c, fld, tuple(points), multiplier))
     return orbits

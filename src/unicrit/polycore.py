@@ -410,8 +410,6 @@ class IntPoly:
         return IntPoly(tuple(-v for v in self.coeffs), self.var)
 
     def __sub__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly.const(other, self.var)
         return self + (-other)
 
     def __rsub__(self, other: int) -> "IntPoly":
@@ -841,8 +839,6 @@ class BiPoly:
         )
 
     def __sub__(self, other: "BiPoly | int") -> "BiPoly":
-        if isinstance(other, int):
-            other = BiPoly.const(other, self.outer, self.inner)
         return self + (-other)
 
     def __mul__(self, other: "BiPoly | int") -> "BiPoly":

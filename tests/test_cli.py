@@ -1,6 +1,7 @@
 """CLI surface: emitted documents, exit codes, cache behavior."""
 
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -327,6 +328,13 @@ def test_verify_sweep_thm31():
                           "--sum-max", "3", "--gleason-h-max", "3"])
     assert code == 0
     assert doc["verdict"] == "pass"
+
+
+def test_each_sweep_reads_exactly_its_parameters():
+    # one table names both the flags a sweep is called with and those its
+    # cache key reads, so they are the sweep function's parameters
+    for claim, (sweep, flags) in cli._SWEEPS.items():
+        assert flags == tuple(inspect.signature(sweep).parameters), claim
 
 
 def test_galois_parabolic():

@@ -470,7 +470,7 @@ def test_hensel_lift_recovers_known_factors(p):
             G = G * f
         bound = max(factorz._factor_bound(G, f.degree) for f in factors)
         mods = [_residues(f.coeffs, p) for f in factors]
-        lifted, modulus = factorz._hensel_lift(G, mods, p, bound)
+        lifted, modulus = factorz._hensel_lift(G, mods, p)(bound)
         assert 2 * bound < modulus <= (2 * bound) ** 2
         assert [_symmetric(f, modulus) for f in lifted] == [list(f.coeffs) for f in factors]
 
@@ -529,7 +529,7 @@ def test_hensel_step_refuses_inputs_not_valid_mod_m():
 def test_hensel_lift_rejects_factors_not_coprime_mod_p():
     G = (x - 1) * (x - 6)  # equal mod 5
     with pytest.raises(ArithmeticError, match="not coprime"):
-        factorz._hensel_lift(G, [[4, 1], [4, 1]], 5, factorz._factor_bound(G, 1))
+        factorz._hensel_lift(G, [[4, 1], [4, 1]], 5)
 
 
 def test_factor_nonmonic_lifts_through_the_root_scaling(monkeypatch):
@@ -558,14 +558,19 @@ def test_factor_nonmonic_lifts_through_the_root_scaling(monkeypatch):
 
 
 def _spy_lifts(monkeypatch):
-    """Record (bound, modulus) of every _hensel_lift call."""
+    """Record (bound, modulus) of every call of every lift _hensel_lift makes."""
     calls = []
     real = factorz._hensel_lift
 
-    def spy(G, mods, p, bound):
-        out = real(G, mods, p, bound)
-        calls.append((bound, out[1]))
-        return out
+    def spy(G, mods, p):
+        lift = real(G, mods, p)
+
+        def resume(bound):
+            out = lift(bound)
+            calls.append((bound, out[1]))
+            return out
+
+        return resume
 
     monkeypatch.setattr(factorz, "_hensel_lift", spy)
     return calls
@@ -600,6 +605,64 @@ def test_reducible_input_factors_at_the_per_degree_target(monkeypatch):
     assert [c[0] for c in calls] == [1 << 63, bound]
     assert 2 * bound < calls[1][1] and bound < factorz._factor_bound(G, 3)
     assert bound.bit_length() < _full_mignotte_bound(G).bit_length() - 4
+
+
+def test_second_lift_resumes_the_first(monkeypatch):
+    # the input above needs a second lift; it resumes the first, so the r
+    # modular factors cost r - 1 Bezout pairs, and no split takes a step
+    # at one modulus twice
+    calls, sizes, bezouts, steps = _spy_lifts(monkeypatch), [], [], []
+    real_lift, real_bezout, real_step = factorz._hensel_lift, factorz._bezout, factorz._hensel_step
+
+    def lift(G, mods, p):
+        sizes.append(len(mods))
+        return real_lift(G, mods, p)
+
+    def bezout(g, h, p):
+        bezouts.append(p)
+        return real_bezout(g, h, p)
+
+    def step(f, g, h, s, t, m):
+        steps.append((m, tuple(g), tuple(h)))
+        return real_step(f, g, h, s, t, m)
+
+    monkeypatch.setattr(factorz, "_hensel_lift", lift)
+    monkeypatch.setattr(factorz, "_bezout", bezout)
+    monkeypatch.setattr(factorz, "_hensel_step", step)
+    a, b = x ** 2 + 2 ** 200 * x - 1, x ** 3 - x - 1
+    assert as_set(factor(a * b)) == sorted([(a.coeffs, 1), (b.coeffs, 1)])
+    assert len(calls) == 2 and len(sizes) == 1 and sizes[0] >= 2
+    assert len(bezouts) == sizes[0] - 1
+    assert steps and len(set(steps)) == len(steps)
+
+
+def test_hensel_lift_refuses_a_drifted_lift(monkeypatch):
+    # the last step's g is moved by m, so it stays valid mod m and no step
+    # sees it; only the product check against G can catch it
+    G = (x - 1) * (x + 1) * (x ** 2 + 2)  # x^2 + 2 is irreducible mod 5
+    mods, bound = [[4, 1], [1, 1], [2, 0, 1]], 10 ** 30
+    real, steps = factorz._hensel_step, []
+
+    def count(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(factorz, "_hensel_step", count)
+    factorz._hensel_lift(G, mods, 5)(bound)
+    last, seen = len(steps), []
+
+    def corrupt(f, g, h, s, t, m):
+        g1, h1, s1, t1 = real(f, g, h, s, t, m)
+        seen.append(m)
+        if len(seen) == last:
+            g1 = [(g1[0] + m) % (m * m)] + g1[1:]
+        return g1, h1, s1, t1
+
+    monkeypatch.setattr(factorz, "_hensel_step", corrupt)
+    lift = factorz._hensel_lift(G, mods, 5)
+    with pytest.raises(ArithmeticError, match="drifted"):
+        lift(bound)
+    assert len(seen) == last
 
 
 def test_constant_test_needs_a_modulus_past_twice_g0(monkeypatch):

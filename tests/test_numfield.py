@@ -116,6 +116,31 @@ def test_product_matches_the_reference_reduction():
             assert (a * 3).coords == tuple(3 * c for c in a.coords)
 
 
+def test_elements_convert_once_and_fields_clear_their_modulus_once(monkeypatch):
+    # element converts each coordinate to a Fraction once, and the field
+    # keeps its cleared modulus 6x^3 + 3x + 2, so products do not clear it
+    converted, cleared = [], []
+    real_frac, real_cleared = numfield._frac, RatPoly.cleared
+
+    def frac(c):
+        converted.append(c)
+        return real_frac(c)
+
+    def clear(poly):
+        cleared.append(poly)
+        return real_cleared(poly)
+
+    monkeypatch.setattr(RatPoly, "cleared", clear)
+    field = NumberField(rat(Fraction(1, 3), Fraction(1, 2), 0, 1))
+    monkeypatch.setattr(numfield, "_frac", frac)
+    a = field.element((1, Fraction(-1, 2), Fraction(2, 3)))
+    assert converted == [1, Fraction(-1, 2), Fraction(2, 3)]
+    b = a
+    for _ in range(10):
+        b = b * a
+    assert len(cleared) <= 1
+
+
 def test_minimal_polynomial_examples():
     x = GAUSS.generator()
     assert minimal_polynomial(x).coeffs == fracs(1, 0, 1)

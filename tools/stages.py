@@ -32,7 +32,10 @@ from pathlib import Path
 
 # (stage, the factorz function it times); `factor` keeps what no other
 # stage takes: the squarefree part, the multiplicities, the root scaling of
-# a non-monic input and the re-multiplication check
+# a non-monic input and the re-multiplication check.  Lifting is timed by
+# its two kernels, so it reads the same whether a checkout lifts again from
+# p or resumes one lift; `_recombine` keeps the rest of the lift, its
+# products mod p and its check against G
 STAGES = (
     ("factor: squarefree part, multiplicities, scaling, self-check", "factor"),
     ("squarefree monic", "_factor_squarefree_monic"),
@@ -41,7 +44,8 @@ STAGES = (
     ("Frobenius", "_frobenius"),
     ("echelon", "_berlekamp_echelon"),
     ("split", "_berlekamp_split"),
-    ("Hensel lift", "_hensel_lift"),
+    ("Bezout pairs", "_bezout"),
+    ("Hensel steps", "_hensel_step"),
     ("recombination", "_recombine"),
 )
 
