@@ -20,12 +20,12 @@ one continuity guard.  The trace runs it over a geometric schedule, and
 the landing extrapolation over a finer descent below the traced end.
 
 Everything here is approximate at one configurable precision.  Each
-Newton solve runs in fixed-point Python integers with _GUARD_BITS bits
-below that precision: the orbit f_c^K(c) with its c-derivative (_orbit),
-the residual, the step and the update (_solve_ray_point).  Targets, the
-continuation between solves and the landing extrapolation run in mpmath
-floating point.  The symbolic candidates the landings are matched against
-are exact.
+Newton solve runs in fixed-point Python integers (the orbit f_c^K(c) with
+its c-derivative in _orbit, the residual, step and update): its first
+steps at the bits they need (_ledger), its residual test with _GUARD_BITS
+bits below that precision (_solve_ray_point).  Targets, the continuation
+and the landing extrapolation run in mpmath floating point.  The symbolic
+candidates the landings are matched against are exact.
 """
 
 from __future__ import annotations
@@ -143,7 +143,9 @@ def angle_orbit(angle: Angle, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class RayPath:
-    """Sampled external ray: (potential, c) pairs at decreasing potential."""
+    """Sampled external ray: (potential, c) pairs at decreasing potential.
+    Each c is certified to its solve's residual tolerance |target|
+    2^-(bits/2) only: printed digits past it are not claims."""
 
     angle: Angle
     n: int
@@ -282,17 +284,54 @@ def _from_fixed(re: int, im: int, F: int, bits: int):
                         from_man_exp(im, -F, bits, round_nearest)))
 
 
+def _ledger(n, K, c, target, t2, F, h):
+    """The cheap iterations of _solve_ray_point, on c, the target and t2 =
+    |target|^2 scaled as there: each runs _orbit and steps at Fk = max(2 b,
+    L, T) + _GUARD_BITS bits, with b = -log2|last step| (_GUARD_BITS / 2 at
+    first), L = log2|dz/target| and T = log2|target| all read off integer
+    bit lengths.  After a step of 2^-b, c is good to about 2 b - L bits."""
+    (cr, ci), (tr, ti) = c, target
+    T = t2.bit_length() // 2 - F
+    b, last, L = _GUARD_BITS // 2, -math.inf, 0
+    # past F - _GUARD_BITS a cheap orbit would save only the guard bits
+    while (Fk := max(2 * b, L, T) + _GUARD_BITS) <= F - _GUARD_BITS:
+        s = F - Fk
+        zr, zi, dr, di, N = _orbit(n, cr >> s, ci >> s, K, Fk)
+        d2 = dr * dr + di * di
+        if N != 1 or not d2:
+            return c
+        L = d2.bit_length() // 2 - Fk - T
+        if Fk >= L + _GUARD_BITS:  # else run again at the next Fk
+            fr, fi = zr - (tr >> s), zi - (ti >> s)
+            sr = ((fr * dr + fi * di) << Fk) // d2
+            si = ((fi * dr - fr * di) << Fk) // d2
+            b = Fk - (sr * sr + si * si).bit_length() // 2
+            if b <= last:
+                return c
+            last = b
+            cr, ci = ((cr >> s) - sr) << s, ((ci >> s) - si) << s
+            if min(2 * b - L, Fk) >= h + L:  # the residual test should pass
+                break
+    return cr, ci
+
+
 def _solve_ray_point(n: int, angle: Angle, t, c0, bits: int,
                      tau: float = TAU_ESCAPE):
     """Newton-solve f_c^K(c) = exp(n^K (t + 2 pi i angle)) starting at c0.
 
     c and the target enter once as fixed-point integers at F = bits +
-    _GUARD_BITS, and every iteration stays there: the residual, the
-    tolerance tol = |target| 2^-(bits/2) and both classification windows
-    below are compared as squared integer magnitudes, the step is one
-    complex division by |dz|^2, and |c| in the step floor is an integer
-    square root.  An orbit that escapes (see _orbit) has residual +inf and
-    takes its one step in mpc.  The result is rounded back to bits.
+    _GUARD_BITS.  A precision ledger (_ledger) takes the first iterations
+    at about twice the last step's bits.  Its orbits resolve the spacing
+    |target/dz| between the branches of the ray equation and keep |target|
+    inside the kernel's radius; on an escape, a zero derivative or a step
+    that fails to shrink, the loop below restarts from c0.  That loop runs
+    at F, and only it accepts a point: one whose residual passes tol =
+    |target| 2^-(bits/2) at F.  The residual, tol and both classification
+    windows below are compared as squared integer magnitudes, the step is
+    one complex division by |dz|^2, and |c| in the step floor is an
+    integer square root.  An orbit that escapes (see _orbit) has residual
+    +inf and takes its one step in mpc.  The result is rounded back to
+    bits.
     """
     K = _depth(n, t, tau)
     target = _ray_target(n, angle, t, K)
@@ -304,6 +343,7 @@ def _solve_ray_point(n: int, angle: Angle, t, c0, bits: int,
     tr, ti = _to_fixed(target, F)
     t2 = tr * tr + ti * ti  # |target|^2 2^2F, so tol^2 = t2 2^-(2F + 2h)
     cr, ci = _to_fixed(mp.mpc(c0), F) if c0 is not None else (tr, ti)
+    cr, ci = _ledger(n, K, (cr, ci), (tr, ti), t2, F, h)
     best_c, best_f2 = None, None  # None: every residual so far is +inf
     for _ in range(_NEWTON_MAX_ITERS):
         zr, zi, dr, di, N = _orbit(n, cr, ci, K, F)

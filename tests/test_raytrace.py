@@ -314,27 +314,38 @@ def _mpc_solve(n, angle, t, c0, bits, tau=TAU_ESCAPE):
     raise NewtonDivergenceError(f"best residual {best_f}")
 
 
-def _outcome(monkeypatch, solve):
-    """(c or the exception class, orbit evaluations) of one solve."""
+def _orbit_calls(monkeypatch, solve):
+    """(c or the exception class, the arguments of every _orbit call) of
+    one solve."""
     calls, kernel = [], raytrace._orbit
     with monkeypatch.context() as m:
-        m.setattr(raytrace, "_orbit", lambda *a: calls.append(1) or kernel(*a))
+        m.setattr(raytrace, "_orbit", lambda *a: calls.append(a) or kernel(*a))
         try:
-            return solve(), len(calls)
+            return solve(), calls
         except RayTraceError as exc:
-            return type(exc), len(calls)
+            return type(exc), calls
+
+
+def _outcome(monkeypatch, solve, bits):
+    """(c or the exception class, full-bit orbit evaluations) of one solve:
+    the orbits at F = bits + _GUARD_BITS, not the ledger's cheaper ones."""
+    result, calls = _orbit_calls(monkeypatch, solve)
+    return result, sum(a[-1] == bits + _GUARD_BITS for a in calls)
 
 
 def _assert_same_outcome(n, angle, t, K, bits, reference, outcome):
-    # the same exception class, or c within tol; and, but for K = 0, which
-    # returns the target without an orbit, the same number of iterations
+    # the same exception class, or c within tol.  A classified solve takes
+    # the same full-bit iterations as the mpc loop; a converged one at most
+    # as many, since the ledger's cheap iterations come first.  K = 0
+    # returns the target without an orbit
     (ref, ref_iters), (got, iters) = reference, outcome
     if isinstance(ref, type):
         assert got is ref
+        assert iters == (0 if K == 0 else ref_iters)
     else:
         tol = abs(_ray_target(n, angle, t, K)) * mp.mpf(2) ** -(bits // 2)
         assert abs(got - ref) <= tol
-    assert iters == (0 if K == 0 else ref_iters)
+        assert iters <= (0 if K == 0 else ref_iters)
 
 
 # the ray, per n, whose traced points start the Newton comparisons: the
@@ -361,8 +372,8 @@ def test_newton_loop_matches_mpc_loop(deep_rays, monkeypatch, n, K, bits):
     (_, c0), (t, _) = points[i - 1], points[i]
     with mp.workprec(bits):
         c0, t = +c0, +t
-        ref = _outcome(monkeypatch, lambda: _mpc_solve(n, angle, t, c0, bits))
-        got = _outcome(monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits))
+        ref = _outcome(monkeypatch, lambda: _mpc_solve(n, angle, t, c0, bits), bits)
+        got = _outcome(monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits), bits)
         _assert_same_outcome(n, angle, t, K, bits, ref, got)
 
 
@@ -378,8 +389,8 @@ def test_newton_loop_stalls_like_mpc_loop(monkeypatch, bits):
     for t, c0 in (points[-1], points[-20]):
         with mp.workprec(bits):
             c0, t = +c0, +t
-            ref = _outcome(monkeypatch, lambda: _mpc_solve(2, angle, t, c0, bits))
-            got = _outcome(monkeypatch, lambda: _solve_ray_point(2, angle, t, c0, bits))
+            ref = _outcome(monkeypatch, lambda: _mpc_solve(2, angle, t, c0, bits), bits)
+            got = _outcome(monkeypatch, lambda: _solve_ray_point(2, angle, t, c0, bits), bits)
             assert ref[1] == 1
             _assert_same_outcome(2, angle, t, _depth(2, t), bits, ref, got)
 
@@ -388,7 +399,9 @@ def test_newton_loop_stalls_like_mpc_loop(monkeypatch, bits):
 def test_newton_loop_escape_step_matches_mpc_loop(monkeypatch, bits):
     # depth 1 with |target| = 2^(2F - 4), so the solution lies near radius
     # 2^(F - 2); the start at radius 2^(F + 1) leaves radius 2^F at once,
-    # and the first step is the closed-form escape step taken in mpc
+    # and the first step is the closed-form escape step taken in mpc.  The
+    # target is past radius 2^Fk of every precision Fk <= bits the ledger
+    # may use, so it runs no orbit: every one runs at F, the first at c0
     n, angle, F = 2, Angle(1, 3), bits + _GUARD_BITS
     with mp.workprec(bits):
         t = (F - 2) * mp.log(2)
@@ -396,10 +409,54 @@ def test_newton_loop_escape_step_matches_mpc_loop(monkeypatch, bits):
         c0 = mp.mpf(2) ** (F + 1) * mp.expjpi(mp.mpf(2) / 3)
         assert _depth(n, t, tau) == 1
         assert _orbit(n, *_to_fixed(c0, F), 1, F)[4] == n
-        ref = _outcome(monkeypatch, lambda: _mpc_solve(n, angle, t, c0, bits, tau))
-        got = _outcome(monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits, tau))
+        ref = _outcome(monkeypatch, lambda: _mpc_solve(n, angle, t, c0, bits, tau), bits)
+        got, calls = _orbit_calls(
+            monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits, tau))
         assert not isinstance(ref[0], type)
-        _assert_same_outcome(n, angle, t, 1, bits, ref, got)
+        _assert_same_outcome(n, angle, t, 1, bits, ref, (got, len(calls)))
+        assert {a[-1] for a in calls} == {F}
+        assert calls[0][1:3] == _to_fixed(c0, F)
+
+
+# ---------------------------------------------------------------- precision ledger
+
+def test_ledger_steps_only_from_orbits_that_resolve_the_branch_spacing(monkeypatch):
+    # the tau = 18 polish of a node of the 96-bit 1/6 landing descent:
+    # at depth 57, |dz/target| ~ 2^69, so the branches of the ray equation
+    # lie 2^-69 apart and orbits at 64 and 75 bits do not resolve them.
+    # The ledger takes no step from either (one from the 64-bit orbit
+    # leaves the branch, and every later orbit escapes), and the full-bit
+    # loop accepts c0 at once, as the mpc loop does
+    angle, bits, tau = Angle(1, 6), 96, _TAU_POLISH
+    with mp.workprec(bits):
+        t = mp.mpf("1.49011611938476565617704515198e-16")
+        c0 = mp.mpc("2.62367881744076618223789197624e-20",
+                    "0.999999999999999999993613837757")
+        K = _depth(2, t, tau)
+        ref = _outcome(monkeypatch, lambda: _mpc_solve(2, angle, t, c0, bits, tau), bits)
+        got, calls = _orbit_calls(
+            monkeypatch, lambda: _solve_ray_point(2, angle, t, c0, bits, tau))
+        iters = sum(a[-1] == bits + _GUARD_BITS for a in calls)
+        _assert_same_outcome(2, angle, t, K, bits, ref, (got, iters))
+        assert (K, ref[1]) == (57, 1)
+        assert [a[-1] for a in calls] == [64, 75, bits + _GUARD_BITS]
+
+
+def test_ledger_restarts_from_c0_when_a_step_fails_to_shrink(monkeypatch):
+    # far from the 1/3 ray at depth 5, the third cheap step is no shorter
+    # than the second: the ledger gives up, and the full-bit loop starts
+    # again from c0 and takes the mpc loop's iterations to its solution
+    n, angle, bits = 2, Angle(1, 3), 128
+    F = bits + _GUARD_BITS
+    with mp.workprec(bits):
+        t, c0 = mp.mpf("0.24375"), mp.mpc("-1.5", "0.5")
+        ref = _outcome(monkeypatch, lambda: _mpc_solve(n, angle, t, c0, bits), bits)
+        got, calls = _orbit_calls(monkeypatch, lambda: _solve_ray_point(n, angle, t, c0, bits))
+        full = [a for a in calls if a[-1] == F]
+        _assert_same_outcome(n, angle, t, _depth(n, t), bits, ref, (got, len(full)))
+        assert len(full) == ref[1]
+        assert [a[-1] for a in calls[:3]] == [64, 43, 43]
+        assert full[0][1:3] == _to_fixed(c0, F)
 
 
 # ---------------------------------------------------------------- continuation
