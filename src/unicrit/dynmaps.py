@@ -362,10 +362,11 @@ def multiplier_resultant(
     so q is monic of degree nu(h) in mu.  Computed by evaluating c at the
     integer points 0, ..., D, taking bivariate resultants in (mu, z) by the
     exact subresultant PRS, and interpolating back; both steps are exact.
-    D = _elimination_degree(n, h, 1, dz), the degree _parabolic_bounds
-    proves: each mu-coefficient of q is a symmetric function of at most
-    dz = deg_z Phi_h multipliers, and each grows like |c|^(h(n-1)/n) on
-    the periodic-point disc.  Phi_h and (f^h)' have leading coefficients 1
+    D = _elimination_degree(n, h, 1, dz), h times the degree that
+    _parabolic_bounds proves for the root of the m = 1 resultant: each
+    mu-coefficient of q is a symmetric function of at most dz = deg_z Phi_h
+    multipliers, and each grows like |c|^(h(n-1)/n) on the periodic-point
+    disc.  Phi_h and (f^h)' have leading coefficients 1
     and n^h in z, so no point drops a degree.
     """
     _validate_n(n)
@@ -554,25 +555,45 @@ def _elimination_degree(n: int, h: int, phi: int, dz: int) -> int:
 
 
 def _parabolic_bounds(n: int, h: int, m: int, dz: int) -> tuple[int, int]:
-    """Degree and coefficient bits bounding R(c) = Res_z(Phi_h, Psi_m(W)),
-    W = (f^h)', where Phi_h has degree dz in z.
+    """Degree and coefficient bits bounding S(c), the integer polynomial
+    whose h-th power is R(c) = Res_z(Phi_h, Psi_m(W)), W = (f^h)', where
+    Phi_h has degree dz in z.  S has leading coefficient n^(phi(m) dz).
 
-    Phi_h is monic in z, so R(c) = prod Psi_m(W(c, z_i)) over its roots
-    z_i, and every z_i is periodic.  Each periodic point of z^n + c, and
-    so each point of its orbit, lies in |z| <= rho(|c|), the root of
-    rho^n - rho = |c|: past it |f(z)| >= |z|^n - |c| > |z|, and the orbit
-    never returns.  So |W(z_i)| <= n^h rho^(h(n-1)) and
-    |R(c)| <= M(|c|) = (n^h rho(|c|)^(h(n-1)) + 1)^(phi(m) dz).  As rho(r)
-    grows like r^(1/n), deg R <= D = dz h (n-1) phi(m) / n, and by Cauchy's
-    estimate coefficient k has |a_k| <= M(r) / r^k for every r > 0.  The
-    bit bound is the largest over k of the least log2 M(2^e) - k e over
-    e = 0, ..., E, in integers: rho(2^e) is rounded up to a multiple of
-    2^-_RHO_BITS and M's numerator taken to its power exactly, so each
-    step rounds up.
+    R = S^h.  Phi_h is monic in z, so R(c) = prod Psi_m(W(c, z_i)) over its
+    roots z_i.  Over the field Q(c), c transcendental, these are the
+    points of the dz/h orbits of exact period h of f = z^n + c, and
+    W(z) = n^h (z f(z) ... f^(h-1)(z))^(n-1) is constant on each orbit,
+    equal to its multiplier lambda.  So R = S^h with S = prod Psi_m(lambda)
+    over the orbits (Morton-Vivaldi, Nonlinearity 1995).  Each automorphism
+    of the splitting field of Phi_h over Q(c) commutes with f and so
+    permutes the orbits; S is fixed by all of them and lies in Q(c).  It is
+    integral over Z[c], as the z_i are (Phi_h is monic), and Z[c] is
+    integrally closed, so S is in Z[c].
+
+    The bounds.  Each periodic point of z^n + c, and so each point of its
+    orbit, lies in |z| <= rho(|c|), the root of rho^n - rho = |c|: past it
+    |f(z)| >= |z|^n - |c| > |z|, and the orbit never returns.  So
+    |lambda| <= n^h rho^(h(n-1)) and |S(c)| <= M(|c|) =
+    (n^h rho(|c|)^(h(n-1)) + 1)^(phi(m) dz/h).  By Cauchy's estimate
+    coefficient k has |s_k| <= M(r) / r^k for every r > 0.  The bit bound
+    is the largest over k of the least log2 M(2^e) - k e over e = 0, ...,
+    E, in integers: rho(2^e) is rounded up to a multiple of 2^-_RHO_BITS
+    and M's numerator taken to its power exactly, so each step rounds up.
+
+    The degree and leading coefficient.  For large |c| a point with
+    |z|^n < |c|/2 has |f(z)| > |c|/2 > rho(|c|) and escapes, so every
+    |lambda| grows without bound and S(c) = prod lambda^phi(m) (1 + o(1)).
+    The product of the multipliers is n^dz (z_1 ... z_dz)^(n-1), and
+    z_1 ... z_dz = (-1)^dz Phi_h(c, 0), where Phi_h(c, 0) is the quotient
+    of the f^d(0) = c P_d(c^(n-1)), d | h, monic of degree n^(d-1), so
+    monic of degree dz/n.  The sign (-1)^(dz (n-1) phi(m)) is +1: n - 1 is
+    even for odd n, and dz, a sum of multiples of n^d, is even for even n.
+    So S has degree D/h = (n-1) phi(m) dz / n, with D the degree of R
+    (_elimination_degree), and leading coefficient n^(phi(m) dz).
     """
     phi = euler_phi(m)
-    b, exp = h * (n - 1), phi * dz
-    degree = _elimination_degree(n, h, phi, dz)
+    b, exp = h * (n - 1), phi * dz // h
+    degree = _elimination_degree(n, h, phi, dz) // h
     F = _RHO_BITS
     logs = []
     for e in range(2 * (degree * b).bit_length() + 9):
@@ -592,14 +613,20 @@ def _parabolic_bounds(n: int, h: int, m: int, dz: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parabolic(n: int, h: int, m: int) -> IntPoly:
+    """Radical of R(c) = Res_z(Phi_h, Psi_m((f^h)')), taken as the radical
+    of S = R^(1/h): the modular route recovers S, of degree D/h, from the
+    primes its height needs, given the root order h and lc(S) that
+    _parabolic_bounds proves, and squarefree_part(S) = squarefree_part(R)."""
     phi = _dynatomic(n, h)
     W = _multiplier(n, h)
     psi = cyclotomic(m)
     B = BiPoly.const(psi.coeff(psi.degree), "c", "z")
     for i in range(psi.degree - 1, -1, -1):
         B = B * W + psi.coeff(i)
-    bounds = _parabolic_bounds(n, h, m, phi.degree("z"))
-    return squarefree_part(resultant(phi, B, eliminate="z", bounds=bounds))
+    dz = phi.degree("z")
+    S = resultant(phi, B, eliminate="z", bounds=_parabolic_bounds(n, h, m, dz),
+                  root=(h, n ** (psi.degree * dz)))
+    return squarefree_part(S)
 
 
 def parabolic_param_poly(
@@ -614,9 +641,12 @@ def parabolic_param_poly(
 
     Radical of the elimination of z from Phi_h and Psi_m((f^h)'), which
     equals the radical of Res_mu(q(c, mu), Psi_m(mu)) for the multiplier
-    resultant q.  The elimination is exact: every cell takes the modular
-    route on the degree and height bounds that _parabolic_bounds proves
-    from the dynamics.
+    resultant q.  The elimination is exact and runs per orbit: the
+    resultant R is S^h, S the product over the period-h orbits of Psi_m
+    of their multipliers, an integer polynomial whose degree D/h, height
+    and leading coefficient _parabolic_bounds proves from the dynamics, and
+    every cell takes the modular route to S on those bounds, from about
+    1/h of the primes R would need.  The degree cap reads D.
     Squarefree and primitive, but not irreducible in general: the
     (mu - mu0)^h orbit structure and orbit merges at bifurcation parameters
     can contribute extra factors (for m = 1, the cells (h', m') with

@@ -18,6 +18,9 @@ caller proves a degree bound and a coefficient height bound from the
 structure of its inputs (dynmaps._parabolic proves one from the dynamics)
 is computed through mod-p images recombined by CRT; the images run until
 the modulus passes twice the height bound, so the lift is the resultant.
+A caller that also proves the resultant to be S^h, with S's leading
+coefficient, gets S: each image is rooted by _gf_root, and the bounds and
+the primes are S's.
 Every other elimination takes the exact subresultant PRS, which needs no
 bound.  gcd_fast certifies what it returns, and product_equals compares an
 exact product.
@@ -34,7 +37,7 @@ package's one square-and-multiply loop.
 
 The modular kernel section is the package's one copy of coefficient-list
 arithmetic over Z/m and GF(p): trim, reduction, products, sums, division,
-gcd, symmetric lift and CRT step.  factorz builds on it.  GF(p)
+gcd, h-th root, symmetric lift and CRT step.  factorz builds on it.  GF(p)
 resultants have one routine too, _vector_resultants_mod_p, which takes a
 batch of (prime, evaluation point) pairs as numpy rows, so one call
 covers every prime of a batch.
@@ -325,6 +328,41 @@ def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         return a
     inv = pow(a[-1], -1, p)
     return [v * inv % p for v in a]
+
+
+def _gf_root(a: list[int], order: int, lead: int, p: int) -> list[int]:
+    """The S over GF(p) with S^order = a and leading coefficient lead, for
+    a of degree D = order * d given with all D + 1 coefficients, lead a
+    unit and p > D.
+
+    Such an S exists only if lc(a) = lead^order; otherwise this raises
+    ArithmeticError.  S is read off the top d + 1 coefficients of a:
+    F(x) = x^D a(1/x) / lc(a) has F(0) = 1, and the power series
+    G = F^(1/order) with G(0) = 1 satisfies order F G' = F' G, so
+    order k g_k = sum_{j=1..k} ((order + 1) j - order k) f_j g_(k-j).
+    x^d S(1/x) / lead is such a series, so G up to x^d, reversed and
+    times lead, is S.
+    """
+    D = len(a) - 1
+    if a[-1] != pow(lead, order, p):
+        raise ArithmeticError(
+            f"leading coefficient {a[-1]} of a degree-{D} image mod {p} is not "
+            f"{lead}^{order}, so it is not the {order}-th power the caller proved"
+        )
+    if order == 1:
+        return a
+    d = D // order
+    inv = pow(a[-1], -1, p)
+    f = [v * inv % p for v in a[D - d :][::-1]][1:]  # f_1, ..., f_d
+    jf = [j * v % p for j, v in enumerate(f, 1)]
+    g = [1]
+    for k in range(1, d + 1):
+        rev = g[::-1]  # g_(k-1), ..., g_0: map pairs them with f_1, ..., f_k
+        s = (order + 1) * sum(map(operator.mul, jf, rev)) - order * k * sum(
+            map(operator.mul, f, rev)
+        )
+        g.append(s * pow(order * k, -1, p) % p)
+    return [v * lead % p for v in reversed(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1167,8 @@ _BATCH_ENTRIES = 1 << 20
 
 
 def _resultant_points_modular(
-    a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str, degree: int, height_bits: int
+    a_cols: list[IntPoly], b_cols: list[IntPoly], kept: str, degree: int, height_bits: int,
+    root: tuple[int, int] | None = None,
 ) -> IntPoly:
     """Multimodular resultant of degree at most `degree` with coefficients
     of at most `height_bits` bits; both bounds are the caller's to prove.
@@ -1141,11 +1180,20 @@ def _resultant_points_modular(
     reach the bound are known before the first image, so they run in
     batches of _BATCH_ENTRIES; a prime that divides a leading coefficient
     at one of the points is skipped, and the next one takes its place.
+
+    With root = (h, lead), a pair the caller also proves, the resultant is
+    R = S^h for an integer polynomial S with leading coefficient lead, and
+    S is returned: degree and height_bits then bound S.  Each image of R
+    is interpolated at h * degree + 1 points as above, and _gf_root takes
+    S mod p from its top degree + 1 coefficients, after checking that its
+    leading coefficient is lead^h (ArithmeticError otherwise).  S mod p is
+    then the only h-th root of R mod p with leading coefficient lead, so
+    only S's images are combined, and the CRT stops at S's height.
     """
-    width = degree + 1
+    width = (root[0] if root else 1) * degree + 1
     start = _point_run(a_cols[-1], b_cols[-1], width)
     per_batch = max(1, _BATCH_ENTRIES // (width * max(len(a_cols), len(b_cols))))
-    acc, modulus, idx = [0] * width, 1, 0
+    acc, modulus, idx = [0] * (degree + 1), 1, 0
     while modulus.bit_length() <= height_bits + 1:
         primes, reach = [], modulus
         while reach.bit_length() <= height_bits + 1 and len(primes) < per_batch:
@@ -1154,12 +1202,15 @@ def _resultant_points_modular(
             idx += 1
         for p, img in zip(primes, _resultant_images_mod_p(a_cols, b_cols, start, primes, width)):
             if img is not None:
+                if root:
+                    img = _gf_root(img, *root, p)
                 acc, modulus = _crt(acc, modulus, img, p)
     return IntPoly(_symmetric(acc, modulus), kept)
 
 
 def resultant(
-    A: BiPoly, B: BiPoly, eliminate: str, bounds: tuple[int, int] | None = None
+    A: BiPoly, B: BiPoly, eliminate: str, bounds: tuple[int, int] | None = None,
+    root: tuple[int, int] | None = None,
 ) -> IntPoly:
     """Sylvester resultant of A and B with respect to `eliminate`.
 
@@ -1169,12 +1220,18 @@ def resultant(
     structure of its inputs (dynmaps._parabolic does, from the dynamics),
     it takes the modular route at that pair; without, the exact
     subresultant PRS per point, which needs no bound.  Either route's
-    result is proven.
+    result is proven.  With `root` = (h, lead) as well, also proven by the
+    caller, the resultant is the h-th power of an integer polynomial S with
+    leading coefficient lead, `bounds` bound S, and S is returned: order h
+    returns S, from the primes that S's height needs (see
+    _resultant_points_modular).
     """
     if A.vars != B.vars:
         raise ValueError(f"variable mismatch {A.vars} vs {B.vars}")
     if eliminate not in A.vars:
         raise ValueError(f"unknown variable {eliminate!r}")
+    if root and bounds is None:
+        raise TypeError("a root order is read only with the bounds of the root")
     kept = A.inner if eliminate == A.outer else A.outer
     if A.is_zero or B.is_zero:
         return IntPoly.zero(kept)
@@ -1187,7 +1244,7 @@ def resultant(
     b_cols = B.as_univariate_in(eliminate)
     if bounds is None:
         return _resultant_points_bigint(a_cols, b_cols, kept)
-    return _resultant_points_modular(a_cols, b_cols, kept, *bounds)
+    return _resultant_points_modular(a_cols, b_cols, kept, *bounds, root)
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,8 @@ def test_thm14_sweep_never_takes_the_generic_bound(monkeypatch):
     code, doc = run_json(["verify", "sweep", "thm14", "--ns", "2", "--r-max", "5"])
     assert code == 0
     assert doc["verdict"] == "pass"
-    assert (24, 82) in calls and (75, 255) in calls  # (2,4,1) and (2,5,1)
+    # (2,4,1) and (2,5,1): (D_S, H_S) and (h, lc(S))
+    assert (6, 21, (4, 2 ** 12)) in calls and (15, 51, (5, 2 ** 30)) in calls
 
 
 def test_verify_sweep_thm31():

@@ -423,13 +423,14 @@ def _multiplier_resultant_sylvester(n, h):
 
 
 def test_multiplier_resultant_at_the_proven_degree():
-    # the degree _parabolic_bounds proves is the true c-degree of q, and q
-    # agrees with the interpolation at the generic Sylvester bound
+    # h times the degree _parabolic_bounds proves for S = R^(1/h) is the
+    # true c-degree of q, and q agrees with the interpolation at the
+    # generic Sylvester bound
     for n, h in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)):
         dynmaps._multiplier_resultant.cache_clear()
         q = multiplier_resultant(n, h)
         dz = dynatomic(n, h).degree("z")
-        assert q.degree("c") == dynmaps._parabolic_bounds(n, h, 1, dz)[0], (n, h)
+        assert q.degree("c") == h * dynmaps._parabolic_bounds(n, h, 1, dz)[0], (n, h)
         assert q == _multiplier_resultant_sylvester(n, h), (n, h)
 
 
@@ -481,21 +482,33 @@ SMALL_PARABOLIC = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 3), (2, 2, 2), (3, 1,
                    (3, 1, 1), (3, 1, 3), (3, 1, 5), (4, 1, 1), (4, 1, 2), (2, 5, 1)]
 
 
+def _parabolic_root(n, h, m, dz):
+    # the root order and lc(S) = n^(phi(m) dz) that _parabolic passes
+    return h, n ** (cyclotomic(m).degree * dz)
+
+
 @pytest.mark.parametrize("n,h,m", SMALL_PARABOLIC)
 def test_parabolic_bounds_cover_the_exact_resultant(n, h, m):
-    # the dynamics' degree is the true degree (the growth rate of
-    # |R(c)| is exactly D); the bit bound sits above the true height
+    # the modular route at the dynamics' (D_S, H_S) and root order h returns
+    # the S with S^h = R exactly: deg S = D/h, D the true degree of R (the
+    # growth rate of |R(c)| is exactly D), lc(R) = lc(S)^h for the proven
+    # lc(S), and the bit bound sits above S's true height
     a_cols, b_cols = _parabolic_inputs(n, h, m)
     exact = polycore._resultant_points_bigint(a_cols, b_cols, "c")
-    degree, bits = dynmaps._parabolic_bounds(n, h, m, len(a_cols) - 1)
-    assert degree >= exact.degree
-    assert degree == exact.degree
-    assert bits >= exact.max_coeff_bits()
+    dz = len(a_cols) - 1
+    degree, bits = dynmaps._parabolic_bounds(n, h, m, dz)
+    root = _parabolic_root(n, h, m, dz)
+    S = polycore._resultant_points_modular(a_cols, b_cols, "c", degree, bits, root)
+    assert S ** h == exact
+    assert S.degree == degree and h * degree == exact.degree
+    assert S.lc == root[1] and exact.lc == root[1] ** h
+    assert bits >= S.max_coeff_bits()
 
 
 def test_parabolic_modular_route_takes_the_dynamics_bounds(monkeypatch):
     # every cell, the tiniest included, runs the modular loop once on the
-    # dynamics' (D, H), and its polynomial is the exact route's
+    # dynamics' (D_S, H_S) with root order h and lc(S), and its polynomial
+    # is the radical of the exact route's R
     calls = []
     modular = polycore._resultant_points_modular
     monkeypatch.setattr(polycore, "_resultant_points_modular",
@@ -505,8 +518,25 @@ def test_parabolic_modular_route_takes_the_dynamics_bounds(monkeypatch):
         got = dynmaps._parabolic.__wrapped__(n, h, m)
         exact = polycore._resultant_points_bigint(a_cols, b_cols, "c")
         assert got == squarefree_part(exact)
-        assert calls == [dynmaps._parabolic_bounds(n, h, m, len(a_cols) - 1)]
+        dz = len(a_cols) - 1
+        assert calls == [(*dynmaps._parabolic_bounds(n, h, m, dz), _parabolic_root(n, h, m, dz))]
         calls.clear()
+
+
+def test_parabolic_root_refuses_an_image_whose_lead_is_not_lc_s_to_the_h(monkeypatch):
+    # one prime's image of R with its leading coefficient moved off lc(S)^h
+    # is no h-th power of an S with the proven lc; the route says so
+    images = polycore._resultant_images_mod_p
+
+    def patched(a_cols, b_cols, start, primes, width):
+        out = images(a_cols, b_cols, start, primes, width)
+        out[-1][-1] = (out[-1][-1] + 1) % primes[-1]
+        return out
+
+    monkeypatch.setattr(polycore, "_resultant_images_mod_p", patched)
+    for h, lead in ((1, 2 ** 2), (4, 2 ** 12)):  # lc(S) = 2^dz
+        with pytest.raises(ArithmeticError, match=f"is not {lead}\\^{h}"):
+            dynmaps._parabolic.__wrapped__(2, h, 1)
 
 
 def test_parabolic_b_coordinate_for_cubic_map():

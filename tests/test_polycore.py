@@ -39,6 +39,7 @@ from unicrit.polycore import (
     _bdivmod_monic,
     _gf_divmod,
     _gf_gcd,
+    _gf_root,
     _interpolate,
     _newton_interpolate_mod_p,
     _point_run,
@@ -451,6 +452,26 @@ def test_gf_gcd_matches_list_reference():
     assert _gf_gcd([3, 6], [], 7) == [4, 1]
     big = [rng.randrange(97) for _ in range(top)] + [5]
     assert _gf_gcd([], big, 97) == _gf_gcd(big, [0] * 3, 97) == _list_gcd(big, [], 97)
+
+
+def test_gf_root_recovers_s_from_its_power():
+    # seeded non-monic S mod p: the h-th root of S^h with S's leading
+    # coefficient is S, and for even h the one with -lc(S) is -S; a lead
+    # whose h-th power is not lc(S^h) is refused
+    rng = random.Random(335)
+    for h in range(2, 6):
+        for p in (101, 10007, _prime_at(0)):
+            for _ in range(8):
+                d = rng.randint(0, min(40, (p - 1) // h))
+                S = [rng.randrange(p) for _ in range(d)] + [rng.randrange(2, p)]
+                R = _power(S, h, [1], lambda u, v: _list_mul(u, v, p))
+                assert len(R) == h * d + 1
+                assert _gf_root(R, h, S[-1], p) == S, (h, p, S)
+                if h % 2 == 0:
+                    assert _gf_root(R, h, p - S[-1], p) == [-v % p for v in S]
+                wrong = next(x for x in range(2, p) if pow(x, h, p) != R[-1])
+                with pytest.raises(ArithmeticError, match=f"not {wrong}\\^{h}"):
+                    _gf_root(R, h, wrong, p)
 
 
 def test_division_identity_prime_and_prime_power():
@@ -963,6 +984,22 @@ def test_resultant_methods_agree(monkeypatch):
         r1 = _resultant_points_bigint(a_cols, b_cols, "c")
         r2 = modular(a_cols, b_cols, monkeypatch)[0]
         assert r1 == r2
+
+
+def test_resultant_root_route_returns_the_root_of_a_power():
+    # Res_z(A, B^h) = S^h with S = Res_z(A, B): given S's degree, height and
+    # leading coefficient, of either sign, the modular route returns S
+    rng = random.Random(1214)
+    for h in (2, 3):
+        for _ in range(3):
+            A, B = rand_bipoly(rng, 2, 2, bound=9), rand_bipoly(rng, 2, 2, bound=9)
+            S = resultant(A, B, "z")
+            if S.is_zero:
+                continue
+            bounds, root = (S.degree, S.max_coeff_bits()), (h, S.lc)
+            assert resultant(A, B ** h, "z", bounds=bounds, root=root) == S
+    with pytest.raises(TypeError, match="only with the bounds"):
+        resultant(A, B ** 2, "z", root=(2, 1))
 
 
 def test_resultant_modular_route_runs_past_the_height_bound(monkeypatch):

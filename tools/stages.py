@@ -1,10 +1,12 @@
-"""Time the factoring and ray-tracing stages of unicrit calls in two checkouts.
+"""Time the exact-elimination, factoring and ray-tracing stages of unicrit
+calls in two checkouts.
 
     python3 tools/stages.py --parent DIR --change DIR [--rounds N] [CALL ...]
 
 Each CALL is one `unicrit` command line in quotes, such as
-"verify thm31 --n 4 --t 1 --h 4 --tau 4" or "ray land --n 2 --angle 1/3
---candidates parabolic:1,2"; with none, the default `verify sweep thm31`.
+"verify thm31 --n 4 --t 1 --h 4 --tau 4", "poly parabolic --n 3 --h 4
+--m 1" or "ray land --n 2 --angle 1/3 --candidates parabolic:1,2"; with
+none, the default `verify sweep thm31`.
 A round runs every call once on each side, each side in a fresh child
 interpreter started in its checkout, through the `unicrit.cli.main` of
 that checkout's `src`, with no result cache configured.  The parent goes
@@ -21,7 +23,8 @@ median over the rounds of its self seconds, then the median wall time of
 the calls.  A stage called from more than one place (another stage, or
 none) gets one more line per place with the calls made from it: the
 orbit kernel's lines split its cheap calls from the precision ledger from
-its full-bit calls in the Newton solve.
+its full-bit calls in the Newton solve, and the CRT step's split the
+resultant's images from the modular gcd's inside the squarefree part.
 """
 
 from __future__ import annotations
@@ -34,16 +37,29 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (stage, module, the function it times).  factorz: `factor` keeps what no
-# other stage takes: the squarefree part, the multiplicities, the root
-# scaling of a non-monic input and the re-multiplication check.  Lifting is
+# (stage, module, the function it times).  polycore: the modular
+# resultant's loop keeps its prime choice, batching and symmetric lift;
+# each batch's images are timed by evaluation (`_resultant_images_mod_p`
+# keeps the Horner loop over the points), vector PRS and interpolation,
+# and each prime's image by the h-th root and the CRT step.  The
+# squarefree part keeps its modular gcd.  factorz: `factor` keeps what no
+# other stage takes: the multiplicities, the root scaling of a non-monic
+# input and the re-multiplication check.  Lifting is
 # timed by its two kernels, so it reads the same whether a checkout lifts
 # again from p or resumes one lift; `_recombine` keeps the rest of the
 # lift, its products mod p and its check against G.  raytrace: the Newton
 # solve keeps its full-bit loop, and the continuation and matching that
 # call it are left out
 STAGES = (
-    ("factor: squarefree part, multiplicities, scaling, self-check", "factorz", "factor"),
+    ("parabolic bounds", "dynmaps", "_parabolic_bounds"),
+    ("modular resultant: primes, lift", "polycore", "_resultant_points_modular"),
+    ("resultant evaluation", "polycore", "_resultant_images_mod_p"),
+    ("resultant vector PRS", "polycore", "_vector_resultants_mod_p"),
+    ("resultant interpolation", "polycore", "_newton_interpolate_mod_p"),
+    ("h-th root of an image", "polycore", "_gf_root"),
+    ("CRT step", "polycore", "_crt"),
+    ("squarefree part", "polycore", "squarefree_part"),
+    ("factor: multiplicities, scaling, self-check", "factorz", "factor"),
     ("squarefree monic", "factorz", "_factor_squarefree_monic"),
     ("Newton polygon", "factorz", "_newton_polygon_irreducible"),
     ("prime choice", "factorz", "_candidate_primes"),
@@ -158,7 +174,7 @@ def main(argv=None) -> int:
     for i in range(1, args.rounds + 1):
         for side in ("parent", "change") if i % 2 else ("change", "parent"):
             runs[side].append(run_side(getattr(args, side), calls))
-    width = max(len(stage) for stage, _, _ in STAGES)
+    width = max(len(stage) for stage, _, _ in STAGES) + len("  from ")
     names = {f"{module}.{fn}": stage for stage, module, fn in STAGES}
     names[""] = "no stage"
     print(f"{'stage':<{width}}  {'parent calls, s':>16}  {'change calls, s':>16}")
